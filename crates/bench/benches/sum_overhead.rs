@@ -1,12 +1,13 @@
-//! Criterion microbenchmark behind Table 5: local condensing throughput
+//! Criterion microbenchmark behind Table 5: local sketch-fold throughput
 //! of the sum-aggregation checker for every evaluated configuration.
 
 use ccheck::config::table5_configs;
+use ccheck::sketch::Sketch;
 use ccheck::SumChecker;
 use ccheck_workloads::{uniform_ints, zipf_pairs};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-fn bench_condense(c: &mut Criterion) {
+fn bench_fold(c: &mut Criterion) {
     let n = 100_000usize;
     let keys = zipf_pairs(42, 1_000_000, 0..n);
     let values = uniform_ints(43, u64::MAX, 0..n);
@@ -16,16 +17,15 @@ fn bench_condense(c: &mut Criterion) {
         .map(|((k, _), v)| (k, v))
         .collect();
 
-    let mut group = c.benchmark_group("sum_checker_condense");
+    let mut group = c.benchmark_group("sum_checker_fold");
     group.throughput(Throughput::Elements(n as u64));
     for cfg in table5_configs() {
         let checker = SumChecker::new(cfg, 7);
-        let mut table = checker.new_table();
         group.bench_function(BenchmarkId::from_parameter(cfg.label()), |b| {
             b.iter(|| {
-                table.iter_mut().for_each(|s| *s = 0);
-                checker.condense(std::hint::black_box(&pairs), &mut table);
-                std::hint::black_box(&table);
+                let mut sketch = checker.sketch();
+                sketch.update_iter(std::hint::black_box(&pairs).iter().copied());
+                std::hint::black_box(sketch.table()[0]);
             })
         });
     }
@@ -33,7 +33,7 @@ fn bench_condense(c: &mut Criterion) {
 }
 
 fn bench_end_to_end_local(c: &mut Criterion) {
-    // Full local check (condense both sides + compare) at 10k pairs.
+    // Full local check (fold both sides + compare digests) at 10k pairs.
     let n = 10_000usize;
     let input = zipf_pairs(1, 100_000, 0..n);
     let mut agg = std::collections::HashMap::new();
@@ -42,19 +42,23 @@ fn bench_end_to_end_local(c: &mut Criterion) {
     }
     let output: Vec<(u64, u64)> = agg.into_iter().collect();
 
-    let mut group = c.benchmark_group("sum_checker_check_local");
+    let mut group = c.benchmark_group("sum_checker_digest_compare");
     group.throughput(Throughput::Elements(n as u64));
     for cfg in [table5_configs()[0], table5_configs()[6]] {
         let checker = SumChecker::new(cfg, 7);
         group.bench_function(BenchmarkId::from_parameter(cfg.label()), |b| {
             b.iter(|| {
-                assert!(checker
-                    .check_local(std::hint::black_box(&input), std::hint::black_box(&output)));
+                let digest = |side: &[(u64, u64)]| {
+                    let mut sketch = checker.sketch();
+                    sketch.update_iter(std::hint::black_box(side).iter().copied());
+                    sketch.finalize()
+                };
+                assert_eq!(digest(&input), digest(&output));
             })
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_condense, bench_end_to_end_local);
+criterion_group!(benches, bench_fold, bench_end_to_end_local);
 criterion_main!(benches);

@@ -20,6 +20,7 @@
 
 use ccheck::config::SumCheckConfig;
 use ccheck::params::optimize;
+use ccheck::sketch::Sketch;
 use ccheck::SumChecker;
 use ccheck_bench::{env_param, time_min_secs};
 use ccheck_hashing::HasherKind;
@@ -27,11 +28,10 @@ use ccheck_workloads::{uniform_ints, zipf_pairs};
 
 fn measure_ns_per_elem(cfg: SumCheckConfig, pairs: &[(u64, u64)], reps: usize) -> f64 {
     let checker = SumChecker::new(cfg, 7);
-    let mut table = checker.new_table();
     let secs = time_min_secs(reps, || {
-        table.iter_mut().for_each(|s| *s = 0);
-        checker.condense(pairs, &mut table);
-        std::hint::black_box(&table);
+        let mut sketch = checker.sketch();
+        sketch.update_iter(pairs.iter().copied());
+        std::hint::black_box(sketch.table());
     });
     secs * 1e9 / pairs.len() as f64
 }

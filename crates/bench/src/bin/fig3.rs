@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 
 use ccheck::config::{table3_accuracy_shapes, SumCheckConfig};
+use ccheck::sketch::digest_chunked;
 use ccheck::SumChecker;
 use ccheck_bench::cli::{partition_trials, run_cell, run_opts, run_spmd};
 use ccheck_bench::env_param;
@@ -53,6 +54,7 @@ fn main() {
     // guaranteed identical (chunking invariance); the knob exists to
     // benchmark streaming vs. materialized execution.
     let chunk = opts.chunk;
+    let fold_chunk = chunk.unwrap_or(usize::MAX);
 
     run_spmd(&opts, |comm| {
         let p = comm.size();
@@ -63,7 +65,9 @@ fn main() {
             );
             match chunk {
                 Some(c) => println!("Checker execution: streaming sketches, {c}-element chunks"),
-                None => println!("Checker execution: materialized slices (use --chunk to stream)"),
+                None => {
+                    println!("Checker execution: one-shot sketch folds (use --chunk to stream)")
+                }
             }
             println!("Cells: measured failure rate ÷ δ (≤ 1 ⇒ meets theoretical guarantee)\n");
         }
@@ -104,10 +108,10 @@ fn main() {
                         }
                         let checker = SumChecker::new(cfg, seed);
                         // "failure" = accepted an incorrect computation.
-                        Some(match chunk {
-                            Some(c) => checker.check_local_chunked(&bad, &correct, c),
-                            None => checker.check_local(&bad, &correct),
-                        })
+                        let digest = |side: &[(u64, u64)]| {
+                            digest_chunked(|| checker.sketch(), side.iter().copied(), fold_chunk)
+                        };
+                        Some(digest(&bad) == digest(&correct))
                     });
                     if comm.rank() == 0 {
                         let rate = failures as f64 / effective as f64;

@@ -21,6 +21,7 @@
 //! ```
 
 use ccheck::permutation::{PermCheckConfig, PermChecker};
+use ccheck::sketch::digest_chunked;
 use ccheck_bench::cli::{partition_trials, run_cell, run_opts, run_spmd};
 use ccheck_bench::env_param;
 use ccheck_hashing::HasherKind;
@@ -34,6 +35,7 @@ fn main() {
     // `--chunk`: fold both sides through the streaming sketch path in
     // chunks (verdicts identical by chunking invariance).
     let chunk = opts.chunk;
+    let fold_chunk = chunk.unwrap_or(usize::MAX);
 
     run_spmd(&opts, |comm| {
         let p = comm.size();
@@ -44,7 +46,9 @@ fn main() {
             );
             match chunk {
                 Some(c) => println!("Checker execution: streaming sketches, {c}-element chunks"),
-                None => println!("Checker execution: materialized slices (use --chunk to stream)"),
+                None => {
+                    println!("Checker execution: one-shot sketch folds (use --chunk to stream)")
+                }
             }
             println!("Cells: measured failure rate ÷ δ (δ = 2^-logH)\n");
         }
@@ -77,10 +81,10 @@ fn main() {
                             return None;
                         }
                         let checker = PermChecker::new(cfg, seed);
-                        Some(match chunk {
-                            Some(c) => checker.check_local_chunked(&input, &bad, c),
-                            None => checker.check_local(&input, &bad),
-                        })
+                        let digest = |side: &[u64]| {
+                            digest_chunked(|| checker.sketch(), side.iter().copied(), fold_chunk)
+                        };
+                        Some(digest(&input) == digest(&bad))
                     });
                     if comm.rank() == 0 {
                         let rate = failures as f64 / effective as f64;

@@ -12,6 +12,7 @@
 //! ```
 
 use ccheck::config::table5_configs;
+use ccheck::sketch::Sketch;
 use ccheck::SumChecker;
 use ccheck_bench::{env_param, time_min_secs};
 use ccheck_workloads::{uniform_ints, zipf_pairs};
@@ -42,11 +43,10 @@ fn main() {
 
     for (cfg, paper) in table5_configs().into_iter().zip(paper_ns) {
         let checker = SumChecker::new(cfg, 7);
-        let mut table = checker.new_table();
         let secs = time_min_secs(reps, || {
-            table.iter_mut().for_each(|s| *s = 0);
-            checker.condense(&pairs, &mut table);
-            std::hint::black_box(&table);
+            let mut sketch = checker.sketch();
+            sketch.update_iter(pairs.iter().copied());
+            std::hint::black_box(sketch.table());
         });
         let ns_per_elem = secs * 1e9 / n as f64;
         println!(

@@ -21,7 +21,8 @@
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
-use crate::sum::SumChecker;
+use crate::sketch::Collective;
+use crate::sum::{SumChecker, SumSketch};
 
 /// Fixed-point codec: `frac_bits` fractional bits on a signed 64-bit
 /// grid, giving a dynamic range of ±2^(63−frac).
@@ -99,11 +100,14 @@ impl FloatSumChecker {
         self.codec
     }
 
-    fn encode_pairs(&self, pairs: &[(u64, f64)]) -> Option<Vec<(u64, i64)>> {
-        pairs
-            .iter()
-            .map(|&(k, v)| self.codec.encode(v).map(|t| (k, t)))
-            .collect()
+    /// Fold float pairs into a fresh sum sketch as signed ticks; `None`
+    /// if any value fails to encode.
+    fn fold(&self, pairs: &[(u64, f64)]) -> Option<SumSketch<'_>> {
+        let mut sketch = self.inner.sketch();
+        for &(k, v) in pairs {
+            sketch.update_signed((k, self.codec.encode(v)?));
+        }
+        Some(sketch)
     }
 
     /// Distributed check: `input` float pairs vs `asserted` per-key float
@@ -116,29 +120,12 @@ impl FloatSumChecker {
         input: &[(u64, f64)],
         asserted: &[(u64, f64)],
     ) -> bool {
-        let encoded = (self.encode_pairs(input), self.encode_pairs(asserted));
-        let (encodable_in, encodable_out) = (encoded.0.is_some(), encoded.1.is_some());
-        if !comm.all_agree(encodable_in && encodable_out) {
+        let folded = self.fold(input).zip(self.fold(asserted));
+        if !comm.all_agree(folded.is_some()) {
             return false;
         }
-        let t_in = encoded.0.expect("checked");
-        let t_out = encoded.1.expect("checked");
-        self.inner.check_distributed_signed(comm, &t_in, &t_out)
-    }
-
-    /// Purely local check (p = 1 semantics).
-    pub fn check_local(&self, input: &[(u64, f64)], asserted: &[(u64, f64)]) -> bool {
-        let (Some(t_in), Some(t_out)) = (self.encode_pairs(input), self.encode_pairs(asserted))
-        else {
-            return false;
-        };
-        let mut a = self.inner.new_table();
-        let mut b = self.inner.new_table();
-        self.inner.condense_signed(&t_in, &mut a);
-        self.inner.condense_signed(&t_out, &mut b);
-        self.inner.finalize(&mut a);
-        self.inner.finalize(&mut b);
-        a == b
+        let (t_in, t_out) = folded.expect("checked");
+        SumSketch::agree(comm, t_in, t_out)
     }
 }
 
@@ -171,6 +158,11 @@ mod tests {
 
     fn codec() -> FixedPoint {
         FixedPoint::new(20) // ~1e-6 resolution
+    }
+
+    /// The p = 1 check: the distributed check on a one-PE world.
+    fn on_one_pe(checker: &FloatSumChecker, input: &[(u64, f64)], asserted: &[(u64, f64)]) -> bool {
+        run(1, |comm| checker.check_distributed(comm, input, asserted))[0]
     }
 
     fn workload() -> Vec<(u64, f64)> {
@@ -210,7 +202,7 @@ mod tests {
         let asserted = aggregate_ticks(codec(), &input).unwrap();
         for seed in 0..20 {
             let checker = FloatSumChecker::new(cfg(), codec(), seed);
-            assert!(checker.check_local(&input, &asserted), "seed {seed}");
+            assert!(on_one_pe(&checker, &input, &asserted), "seed {seed}");
         }
     }
 
@@ -221,7 +213,7 @@ mod tests {
         let mut bad = aggregate_ticks(codec(), &input).unwrap();
         bad[3].1 += codec().max_error_per_element() * 2.0; // exactly 1 tick
         let checker = FloatSumChecker::new(cfg(), codec(), 5);
-        assert!(!checker.check_local(&input, &bad));
+        assert!(!on_one_pe(&checker, &input, &bad));
     }
 
     #[test]
@@ -234,8 +226,8 @@ mod tests {
         assert_eq!(exact, vec![(1, 0.25)]);
         // A faulty implementation that summed in f32 would report 0.0.
         let checker = FloatSumChecker::new(cfg(), c, 9);
-        assert!(checker.check_local(&input, &exact));
-        assert!(!checker.check_local(&input, &[(1, 0.0)]));
+        assert!(on_one_pe(&checker, &input, &exact));
+        assert!(!on_one_pe(&checker, &input, &[(1, 0.0)]));
     }
 
     #[test]
@@ -285,7 +277,7 @@ mod tests {
         let asserted = aggregate_ticks(codec(), &input).unwrap();
         assert_eq!(asserted, vec![(1, -10.0), (2, 3.0)]);
         let checker = FloatSumChecker::new(cfg(), codec(), 2);
-        assert!(checker.check_local(&input, &asserted));
+        assert!(on_one_pe(&checker, &input, &asserted));
     }
 
     #[test]

@@ -34,7 +34,12 @@
 //!
 //! ## Quickstart
 //!
+//! Every checker is a mergeable one-pass [`Sketch`]: each side of the
+//! operation folds into a constant-size digest, and the digests are
+//! compared.
+//!
 //! ```
+//! use ccheck::sketch::Sketch;
 //! use ccheck::{SumChecker, SumCheckConfig};
 //! use ccheck_hashing::HasherKind;
 //!
@@ -44,41 +49,17 @@
 //! let checker = SumChecker::new(cfg, /*seed=*/ 42);
 //!
 //! // The operation under test: SELECT key, SUM(value) GROUP BY key.
-//! let input = vec![(1u64, 10u64), (2, 5), (1, 7), (2, 1)];
-//! let correct = vec![(1u64, 17u64), (2, 6)];
-//! let faulty = vec![(1u64, 18u64), (2, 6)];
+//! let input = [(1u64, 10u64), (2, 5), (1, 7), (2, 1)];
+//! let correct = [(1u64, 17u64), (2, 6)];
+//! let faulty = [(1u64, 18u64), (2, 6)];
 //!
-//! assert!(checker.check_local(&input, &correct)); // never rejects correct
-//! assert!(!checker.check_local(&input, &faulty)); // detects w.p. ≥ 1 − δ
-//! ```
-//!
-//! Distributed use is identical but calls `check_distributed(comm, …)`
-//! inside a [`ccheck_net::run`] SPMD region; see the repository examples.
-//!
-//! ## Streaming (out-of-core) checking
-//!
-//! Every checker is a mergeable one-pass [`Sketch`] underneath: instead
-//! of handing it slices, feed elements with [`Sketch::update`], combine
-//! per-chunk sketches with [`Sketch::merge`], and compare
-//! [`Sketch::finalize`] digests — memory stays constant no matter how
-//! large `n` grows, and any chunking produces bit-identical digests:
-//!
-//! ```
-//! use ccheck::sketch::Sketch;
-//! use ccheck::{SumChecker, SumCheckConfig};
-//! use ccheck_hashing::HasherKind;
-//!
-//! let checker = SumChecker::new(SumCheckConfig::new(4, 8, 5, HasherKind::Crc32c), 42);
-//!
-//! // The same check as above, element-at-a-time: no input slice, no
-//! // asserted-output slice, just two O(its·d) sketches.
-//! let mut input = checker.sketch();
-//! for pair in [(1u64, 10u64), (2, 5), (1, 7), (2, 1)] {
-//!     input.update(pair); // stream from disk / generator / network
-//! }
-//! let mut asserted = checker.sketch();
-//! asserted.update_iter([(1u64, 17u64), (2, 6)]);
-//! assert_eq!(input.finalize(), asserted.finalize());
+//! let digest = |pairs: &[(u64, u64)]| {
+//!     let mut sketch = checker.sketch();
+//!     sketch.update_iter(pairs.iter().copied()); // stream from anywhere
+//!     sketch.finalize()
+//! };
+//! assert_eq!(digest(&input), digest(&correct)); // never rejects correct
+//! assert_ne!(digest(&input), digest(&faulty)); // detects w.p. ≥ 1 − δ
 //!
 //! // Chunked folding merges to the identical digest.
 //! let mut a = checker.sketch();
@@ -86,10 +67,14 @@
 //! let mut b = checker.sketch();
 //! b.update_iter([(1u64, 7u64), (2, 1)]);
 //! a.merge(b);
-//! let mut whole = checker.sketch();
-//! whole.update_iter([(1u64, 10u64), (2, 5), (1, 7), (2, 1)]);
-//! assert_eq!(a.finalize(), whole.finalize());
+//! assert_eq!(a.finalize(), digest(&input));
 //! ```
+//!
+//! Distributed use folds each PE's shares the same way and adds one
+//! collective step per checker family ([`sketch::Collective`]):
+//! `check_distributed(comm, …)` / `check_stream(comm, …)` inside a
+//! [`ccheck_net::run`] SPMD region, memory O(1) in `n`; see the
+//! [`sketch`] module and the repository examples.
 
 pub mod average;
 pub mod config;

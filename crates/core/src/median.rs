@@ -22,7 +22,8 @@ use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
 use crate::integrity::replicated_consistent;
-use crate::sum::SumChecker;
+use crate::sketch::Collective;
+use crate::sum::{SumChecker, SumSketch};
 
 /// Tie-breaking certificate entry for one key (only needed when values
 /// repeat; all-zeros for unique values).
@@ -134,7 +135,7 @@ fn check_median_impl(
             // Elements equal to the median (the middle element itself for
             // odd counts) contribute nothing.
             let balance_checker = SumChecker::new(cfg, seed ^ 0xBA1A);
-            let ok_balance = balance_checker.check_distributed_signed(comm, &balance, &[]);
+            let ok_balance = signed_sums_agree(comm, &balance_checker, &balance, &[]);
             replicas_ok && ok_balance
         }
         Some(cs) => {
@@ -165,13 +166,30 @@ fn check_median_impl(
             // of the cut balance once the certificate places the ties)
             // and the equality count (#equal = eq_below + eq_above + eq_at).
             let balance_checker = SumChecker::new(cfg, seed ^ 0xBA1A);
-            let ok_balance =
-                balance_checker.check_distributed_signed(comm, &balance, &balance_target);
+            let ok_balance = signed_sums_agree(comm, &balance_checker, &balance, &balance_target);
             let equals_checker = SumChecker::new(cfg, seed ^ 0xE9A1);
-            let ok_equals = equals_checker.check_distributed_signed(comm, &equals, &equals_target);
+            let ok_equals = signed_sums_agree(comm, &equals_checker, &equals, &equals_target);
             replicas_ok && ok_balance && ok_equals
         }
     }
+}
+
+/// Sum-check this PE's signed pairs `input` against its share of
+/// `asserted` (an empty `asserted` everywhere means "all sums are zero").
+fn signed_sums_agree(
+    comm: &mut Comm,
+    checker: &SumChecker,
+    input: &[(u64, i64)],
+    asserted: &[(u64, i64)],
+) -> bool {
+    let fold = |pairs: &[(u64, i64)]| {
+        let mut sketch = checker.sketch();
+        for &pair in pairs {
+            sketch.update_signed(pair);
+        }
+        sketch
+    };
+    SumSketch::agree(comm, fold(input), fold(asserted))
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use ccheck_hashing::gf64::gf_mul;
 use ccheck_hashing::{Hasher, HasherKind, Mt19937_64};
 use ccheck_net::Comm;
 
-use crate::sketch::Sketch;
+use crate::sketch::{check_stream, Collective, Sketch};
 
 /// Fingerprinting method for permutation checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,127 +152,15 @@ impl PermChecker {
 
     /// Distributed permutation check: is the multiset `output` a
     /// permutation of the multiset `input`? Both sides are distributed
-    /// arbitrarily; every PE returns the same verdict.
-    pub fn check(&self, comm: &mut Comm, input: &[u64], output: &[u64]) -> bool {
-        self.check_concat(comm, &[input], output)
-    }
-
-    /// Check that `output` is a permutation of the concatenation of
-    /// several input sequences (the Union checker's shape, Corollary 12).
-    pub fn check_concat(&self, comm: &mut Comm, inputs: &[&[u64]], output: &[u64]) -> bool {
-        let mut in_sk = self.sketch();
-        for s in inputs {
-            in_sk.update_iter(s.iter().copied());
-        }
-        let mut out_sk = self.sketch();
-        out_sk.update_iter(output.iter().copied());
-        self.check_distributed_sketches(comm, in_sk, out_sk)
-    }
-
-    /// Streaming form of [`PermChecker::check`]: both sides consumed
-    /// element-at-a-time, O(iterations) memory per PE.
+    /// arbitrarily and consumed element-at-a-time, O(iterations) memory
+    /// per PE; every PE returns the same verdict. Concatenated inputs
+    /// (the Union checker's shape, Corollary 12) are one chained stream.
     pub fn check_stream<I, J>(&self, comm: &mut Comm, input: I, output: J) -> bool
     where
         I: IntoIterator<Item = u64>,
         J: IntoIterator<Item = u64>,
     {
-        let mut in_sk = self.sketch();
-        in_sk.update_iter(input);
-        let mut out_sk = self.sketch();
-        out_sk.update_iter(output);
-        self.check_distributed_sketches(comm, in_sk, out_sk)
-    }
-
-    /// Distributed check over pre-folded sketches — the collective
-    /// driver of every permutation check: one length allreduce, then one
-    /// fingerprint-pair allreduce per iteration (byte-identical to the
-    /// historical slice-based implementation).
-    ///
-    /// # Panics
-    /// Panics if either sketch belongs to a different checker instance.
-    pub fn check_distributed_sketches(
-        &self,
-        comm: &mut Comm,
-        input: PermSketch<'_>,
-        output: PermSketch<'_>,
-    ) -> bool {
-        assert!(
-            std::ptr::eq(input.checker, self) && std::ptr::eq(output.checker, self),
-            "sketches must come from this checker instance"
-        );
-        // Global length equality first (a degenerate mismatch no
-        // fingerprint is guaranteed to catch).
-        let (tot_in, tot_out) =
-            comm.allreduce((input.count, output.count), |a, b| (a.0 + b.0, a.1 + b.1));
-        if tot_in != tot_out {
-            return false;
-        }
-        let mut ok = true;
-        for iter in 0..self.cfg.iterations {
-            ok &= match self.cfg.method {
-                PermMethod::HashSum { .. } => {
-                    let (gi, go) = comm.allreduce((input.accs[iter], output.accs[iter]), |a, b| {
-                        (a.0.wrapping_add(b.0), a.1.wrapping_add(b.1))
-                    });
-                    gi == go
-                }
-                PermMethod::PolyField => {
-                    let pair = (input.accs[iter] as u64, output.accs[iter] as u64);
-                    let (gi, go) = comm.allreduce(pair, |a, b| {
-                        (Mersenne61::mul(a.0, b.0), Mersenne61::mul(a.1, b.1))
-                    });
-                    gi == go
-                }
-                PermMethod::PolyGf64 => {
-                    let pair = (input.accs[iter] as u64, output.accs[iter] as u64);
-                    let (gi, go) =
-                        comm.allreduce(pair, |a, b| (gf_mul(a.0, b.0), gf_mul(a.1, b.1)));
-                    gi == go
-                }
-            };
-        }
-        ok
-    }
-
-    /// Local fingerprint of one instance over `data` (the per-PE work of
-    /// the distributed protocol; exposed for the §7.2 overhead
-    /// benchmarks). Additive methods return the exact sum; polynomial
-    /// methods the zero-extended product.
-    pub fn local_fingerprint(&self, iter: usize, data: &[u64]) -> u128 {
-        let inst = self.instance(iter);
-        let mut acc = inst.identity();
-        for &x in data {
-            acc = inst.fold(acc, x);
-        }
-        acc
-    }
-
-    /// Purely local check (p = 1 semantics) for tests and benchmarks.
-    pub fn check_local(&self, input: &[u64], output: &[u64]) -> bool {
-        self.check_local_stream(input.iter().copied(), output.iter().copied())
-    }
-
-    /// Streaming form of [`PermChecker::check_local`].
-    pub fn check_local_stream<I, J>(&self, input: I, output: J) -> bool
-    where
-        I: IntoIterator<Item = u64>,
-        J: IntoIterator<Item = u64>,
-    {
-        let mut in_sk = self.sketch();
-        in_sk.update_iter(input);
-        let mut out_sk = self.sketch();
-        out_sk.update_iter(output);
-        in_sk.finalize() == out_sk.finalize()
-    }
-
-    /// Chunked form of [`PermChecker::check_local`]: both sides folded
-    /// in `chunk`-sized batches and merged; the verdict is identical for
-    /// every chunk size.
-    pub fn check_local_chunked(&self, input: &[u64], output: &[u64], chunk: usize) -> bool {
-        let digest = |side: &[u64]| {
-            crate::sketch::digest_chunked(|| self.sketch(), side.iter().copied(), chunk)
-        };
-        digest(input) == digest(output)
+        check_stream(comm, self.sketch(), self.sketch(), input, output)
     }
 }
 
@@ -369,10 +257,60 @@ impl Sketch for PermSketch<'_> {
     }
 }
 
+impl Collective for PermSketch<'_> {
+    /// One length allreduce, then one fingerprint-pair allreduce per
+    /// iteration.
+    fn agree(comm: &mut Comm, input: Self, output: Self) -> bool {
+        assert!(
+            std::ptr::eq(input.checker, output.checker),
+            "sketches must come from one checker instance"
+        );
+        // Global length equality first (a degenerate mismatch no
+        // fingerprint is guaranteed to catch).
+        let (tot_in, tot_out) =
+            comm.allreduce((input.count, output.count), |a, b| (a.0 + b.0, a.1 + b.1));
+        if tot_in != tot_out {
+            return false;
+        }
+        let mut ok = true;
+        for ((inst, &a), &b) in input.instances.iter().zip(&input.accs).zip(&output.accs) {
+            ok &= match inst {
+                // Exact 128-bit sums travel whole...
+                PermInstance::HashSum { .. } => {
+                    let (gi, go) = comm.allreduce((a, b), |x, y| {
+                        (inst.combine(x.0, y.0), inst.combine(x.1, y.1))
+                    });
+                    gi == go
+                }
+                // ...field products fit in their low 64 bits.
+                PermInstance::PolyField { .. } | PermInstance::PolyGf64 { .. } => {
+                    let (gi, go) = comm.allreduce((a as u64, b as u64), |x, y| {
+                        let mul = |u: u64, v: u64| inst.combine(u.into(), v.into()) as u64;
+                        (mul(x.0, y.0), mul(x.1, y.1))
+                    });
+                    gi == go
+                }
+            };
+        }
+        ok
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::digests_agree;
     use ccheck_net::run;
+
+    /// The p = 1 check: compare the two finalized digests.
+    fn agree(checker: &PermChecker, input: &[u64], output: &[u64]) -> bool {
+        digests_agree(
+            checker.sketch(),
+            checker.sketch(),
+            input.iter().copied(),
+            output.iter().copied(),
+        )
+    }
 
     fn all_methods() -> Vec<PermCheckConfig> {
         vec![
@@ -405,7 +343,7 @@ mod tests {
         for cfg in all_methods() {
             for seed in 0..10 {
                 let checker = PermChecker::new(cfg, seed);
-                assert!(checker.check_local(&data, &perm), "{cfg:?} seed={seed}");
+                assert!(agree(&checker, &data, &perm), "{cfg:?} seed={seed}");
             }
         }
     }
@@ -417,7 +355,7 @@ mod tests {
         let perm = shuffled(&data);
         for cfg in all_methods() {
             let checker = PermChecker::new(cfg, 99);
-            assert!(checker.check_local(&data, &perm), "{cfg:?}");
+            assert!(agree(&checker, &data, &perm), "{cfg:?}");
         }
     }
 
@@ -431,7 +369,7 @@ mod tests {
                 let checker = PermChecker::new(cfg, seed);
                 let mut bad = shuffled(&data);
                 bad[123] += 1;
-                if !checker.check_local(&data, &bad) {
+                if !agree(&checker, &data, &bad) {
                     detected += 1;
                 }
             }
@@ -448,7 +386,7 @@ mod tests {
         let output = vec![5u64, 5, 6, 1, 2];
         for cfg in all_methods() {
             let checker = PermChecker::new(cfg, 4);
-            assert!(!checker.check_local(&input, &output), "{cfg:?}");
+            assert!(!agree(&checker, &input, &output), "{cfg:?}");
         }
     }
 
@@ -458,7 +396,7 @@ mod tests {
         let shorter: Vec<u64> = (0..99).collect();
         for cfg in all_methods() {
             let checker = PermChecker::new(cfg, 1);
-            assert!(!checker.check_local(&data, &shorter), "{cfg:?}");
+            assert!(!agree(&checker, &data, &shorter), "{cfg:?}");
         }
     }
 
@@ -474,7 +412,7 @@ mod tests {
             let checker = PermChecker::new(cfg, seed);
             let mut bad = data.clone();
             bad[50] = 1_000_000 + seed; // randomize an element
-            if checker.check_local(&data, &bad) {
+            if agree(&checker, &data, &bad) {
                 accepted_bad += 1;
             }
         }
@@ -495,10 +433,10 @@ mod tests {
         for seed in 0..300 {
             let mut bad = data.clone();
             bad[3] = 777_777 + seed;
-            if PermChecker::new(single, seed).check_local(&data, &bad) {
+            if agree(&PermChecker::new(single, seed), &data, &bad) {
                 acc_single += 1;
             }
-            if PermChecker::new(boosted, seed).check_local(&data, &bad) {
+            if agree(&PermChecker::new(boosted, seed), &data, &bad) {
                 acc_boosted += 1;
             }
         }
@@ -522,7 +460,7 @@ mod tests {
                     output[7] ^= 0x40;
                 }
                 let checker = PermChecker::new(cfg, 31337);
-                checker.check(comm, &input, &output)
+                checker.check_stream(comm, input.iter().copied(), output.iter().copied())
             });
             assert!(verdicts.iter().all(|&v| v != corrupt), "corrupt={corrupt}");
         }
@@ -540,7 +478,7 @@ mod tests {
                 let input: Vec<u64> = (0..100).map(|i| rank * 100 + i).collect();
                 let output: Vec<u64> = (0..300u64).filter(|x| x % 3 == rank).collect();
                 let checker = PermChecker::new(cfg, 5);
-                checker.check(comm, &input, &output)
+                checker.check_stream(comm, input.iter().copied(), output.iter().copied())
             });
             assert!(verdicts.iter().all(|&v| v), "{method:?}");
         }
@@ -560,7 +498,7 @@ mod tests {
                 Vec::new()
             };
             let checker = PermChecker::new(cfg, 8);
-            checker.check_concat(comm, &[&s1, &s2], &output)
+            checker.check_stream(comm, s1.iter().chain(&s2).copied(), output.iter().copied())
         });
         assert!(verdicts.iter().all(|&v| v));
     }
@@ -573,7 +511,7 @@ mod tests {
                 let input: Vec<u64> = (0..n).collect();
                 let output: Vec<u64> = (0..n).rev().collect();
                 let checker = PermChecker::new(PermCheckConfig::hash_sum(HasherKind::Tab64, 32), 2);
-                checker.check(comm, &input, &output)
+                checker.check_stream(comm, input.iter().copied(), output.iter().copied())
             });
             snap.total_bytes()
         };
@@ -588,12 +526,12 @@ mod tests {
         };
         let checker = PermChecker::new(cfg, 1);
         // Never rejects a correct result, even outside the universe bound.
-        assert!(checker.check_local(&[u64::MAX, 5], &[5, u64::MAX]));
+        assert!(agree(&checker, &[u64::MAX, 5], &[5, u64::MAX]));
         // A high-bit flip (the faulty-data case) is still detected:
         // 2^63 mod (2^61 − 1) = 4 ≠ 0.
-        assert!(!checker.check_local(&[1u64, 5], &[1 ^ (1 << 63), 5]));
+        assert!(!agree(&checker, &[1u64, 5], &[1 ^ (1 << 63), 5]));
         // The documented blind spot: values aliasing mod 2^61 − 1.
         let p = ccheck_hashing::field::MERSENNE61;
-        assert!(checker.check_local(&[3u64], &[3 + p]));
+        assert!(agree(&checker, &[3u64], &[3 + p]));
     }
 }

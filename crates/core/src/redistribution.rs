@@ -33,11 +33,8 @@ pub fn pair_digest(seed: u64, key: u64, value: u64) -> u64 {
     mix(mix(key ^ seed) ^ value)
 }
 
-fn digest_all(seed: u64, pairs: &[(u64, u64)]) -> Vec<u64> {
-    pairs
-        .iter()
-        .map(|&(k, v)| pair_digest(seed, k, v))
-        .collect()
+fn digest_all(seed: u64, pairs: &[(u64, u64)]) -> impl Iterator<Item = u64> + '_ {
+    pairs.iter().map(move |&(k, v)| pair_digest(seed, k, v))
 }
 
 /// Check the redistribution phase of GroupBy (Corollary 14).
@@ -62,9 +59,11 @@ pub fn check_groupby_redistribution(
         .all(|&(k, _)| partition_hasher.hash(k) % p == my_rank);
     // Integrity: multiset of pairs unchanged.
     let digest_seed = seed ^ 0x7265_6469_7374;
-    let pre_digest = digest_all(digest_seed, pre);
-    let post_digest = digest_all(digest_seed, post);
-    let multiset_ok = perm.check(comm, &pre_digest, &post_digest);
+    let multiset_ok = perm.check_stream(
+        comm,
+        digest_all(digest_seed, pre),
+        digest_all(digest_seed, post),
+    );
     comm.all_agree(placed_ok) && multiset_ok
 }
 
@@ -143,15 +142,15 @@ pub fn check_range_redistribution(
     }
 
     let digest_seed = seed ^ 0x736F_7274_6A6E;
-    let ok_r = perm.check(
+    let ok_r = perm.check_stream(
         comm,
-        &digest_all(digest_seed, r_pre),
-        &digest_all(digest_seed, r_post),
+        digest_all(digest_seed, r_pre),
+        digest_all(digest_seed, r_post),
     );
-    let ok_s = perm.check(
+    let ok_s = perm.check_stream(
         comm,
-        &digest_all(digest_seed ^ 1, s_pre),
-        &digest_all(digest_seed ^ 1, s_post),
+        digest_all(digest_seed ^ 1, s_pre),
+        digest_all(digest_seed ^ 1, s_post),
     );
 
     comm.all_agree(local_ok) && splitters_ok && boundary_ok && ok_r && ok_s

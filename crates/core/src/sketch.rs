@@ -12,19 +12,27 @@
 //! **chunking invariance**: for any partition of a multiset of items
 //! into chunks, folding each chunk into a fresh sketch and merging the
 //! sketches yields a [`Sketch::finalize`] digest bit-identical to
-//! feeding all items into one sketch — and therefore to the digest the
-//! slice-based `check_local`/`check_distributed` drivers compute. Input
-//! size `n` never appears in the sketch's memory footprint, so checking
-//! works out-of-core: stream the data through in chunks of any size.
+//! feeding all items into one sketch. Input size `n` never appears in
+//! the sketch's memory footprint, so checking works out-of-core: stream
+//! the data through in chunks of any size.
 //!
-//! Implementations:
+//! The sketch is the only checking API. Each family adds exactly one
+//! collective step ([`Collective::agree`]) that decides, on every PE,
+//! whether the globally merged input and output sketches agree:
 //!
-//! | Sketch | Checker | State |
-//! |---|---|---|
-//! | [`crate::sum::SumSketch`] | [`crate::SumChecker`] | `its × d` bucket sums in ℤ/rᵢℤ |
-//! | [`crate::xorsum::XorSketch`] | [`crate::XorChecker`] | `its × d` bucket xors |
-//! | [`crate::permutation::PermSketch`] | [`crate::PermChecker`] | per-iteration hash sum / poly product |
-//! | [`crate::zip::ZipSketch`] | [`crate::ZipChecker`] | per-iteration inner-product fingerprint |
+//! | Family | Sketch | Checker | State | Collective step |
+//! |---|---|---|---|---|
+//! | sum | [`crate::sum::SumSketch`] | [`crate::SumChecker`] | `its × d` bucket sums in ℤ/rᵢℤ | reduce input ‖ output tables to PE 0, compare the halves, broadcast the verdict |
+//! | xor | [`crate::xorsum::XorSketch`] | [`crate::XorChecker`] | `its × d` bucket xors | the same table step, combining by xor |
+//! | perm | [`crate::permutation::PermSketch`] | [`crate::PermChecker`] | count + per-iteration hash sum / poly product | count allreduce, then one allreduce per iteration |
+//! | zip | [`crate::zip::ZipSketch`] | [`crate::ZipChecker`] | per-iteration inner-product fingerprint | prefix sums for global offsets, then one allreduce per iteration ([`crate::ZipChecker::check_stream`]) |
+//!
+//! One entry point, [`check_stream`], folds each PE's two local streams
+//! into sketches and runs the family's step; the derived checkers
+//! (count, average, median, float sums, sort, merge, union,
+//! redistribution) call it on mapped streams. A p = 1 "local" check is
+//! [`check_stream`] on a one-PE world, or a plain comparison of the two
+//! finalized digests.
 //!
 //! ```
 //! use ccheck::sketch::Sketch;
@@ -45,7 +53,20 @@
 //! one_shot.update_iter([(1u64, 10u64), (2, 5), (1, 7)]);
 //! first.merge(second);
 //! assert_eq!(first.finalize(), one_shot.finalize());
+//!
+//! // The distributed check: every PE folds its shares, one collective
+//! // step compares them (here on a two-PE world).
+//! let verdicts = ccheck_net::run(2, |comm| {
+//!     let input = [(1u64, 10u64), (2, 5), (1, 7)];
+//!     let mine = input.iter().copied().skip(comm.rank()).step_by(2);
+//!     let asserted = if comm.rank() == 0 { vec![(1, 17), (2, 5)] } else { vec![] };
+//!     let (i, o) = (checker.sketch(), checker.sketch());
+//!     ccheck::sketch::check_stream(comm, i, o, mine, asserted)
+//! });
+//! assert_eq!(verdicts, vec![true, true]);
 //! ```
+
+use ccheck_net::Comm;
 
 /// A mergeable one-pass summary of a stream of items.
 ///
@@ -74,12 +95,88 @@ pub trait Sketch: Sized {
     /// Reduce to the canonical digest (e.g. take residues mod rᵢ).
     fn finalize(self) -> Self::Digest;
 
-    /// Fold every item of an iterator (the streaming `condense`).
+    /// Fold every item of an iterator (the condensing pass of §4).
     fn update_iter<I: IntoIterator<Item = Self::Item>>(&mut self, items: I) {
         for item in items {
             self.update(item);
         }
     }
+}
+
+/// A sketch family's one collective step.
+pub trait Collective: Sketch {
+    /// Decide whether the input-side and output-side sketches agree once
+    /// merged across all PEs. Each PE passes the two sketches it folded
+    /// from its local shares (any distribution, including empty ones);
+    /// every PE returns the same verdict.
+    ///
+    /// One-sided error: agreeing streams are always accepted.
+    ///
+    /// # Panics
+    /// Panics if the two sketches belong to different checker instances.
+    fn agree(comm: &mut Comm, input: Self, output: Self) -> bool;
+}
+
+/// The distributed check of every [`Collective`] family: fold this PE's
+/// share of the input and of the asserted output into `input` and
+/// `output` (fresh or already partly folded sketches of one checker),
+/// then run the family's collective step. Memory is the sketches' O(1)
+/// state; the traffic is the collective step's alone, independent of
+/// `n`.
+pub fn check_stream<S, I, J>(
+    comm: &mut Comm,
+    mut input: S,
+    mut output: S,
+    items_in: I,
+    items_out: J,
+) -> bool
+where
+    S: Collective,
+    I: IntoIterator<Item = S::Item>,
+    J: IntoIterator<Item = S::Item>,
+{
+    input.update_iter(items_in);
+    output.update_iter(items_out);
+    S::agree(comm, input, output)
+}
+
+/// The collective step of the table families (sum, xor): concatenate the
+/// finalized input ‖ output tables, tree-reduce them to PE 0 with the
+/// element-wise `add(slot, a, b)` (`slot` indexes one table), compare
+/// the two halves there and broadcast the verdict — one reduction plus
+/// one broadcast, whatever `n` is.
+pub(crate) fn agree_tables(
+    comm: &mut Comm,
+    input: Vec<u64>,
+    output: Vec<u64>,
+    add: impl Fn(usize, u64, u64) -> u64,
+) -> bool {
+    let len = input.len();
+    let mut both = input;
+    both.extend(output);
+    let reduced = comm.reduce(0, both, |a, b| {
+        a.iter()
+            .zip(&b)
+            .enumerate()
+            .map(|(i, (&x, &y))| add(i % len, x, y))
+            .collect()
+    });
+    let verdict = reduced.is_some_and(|t| t[..len] == t[len..]);
+    comm.broadcast(0, verdict)
+}
+
+/// The p = 1 check as a plain comparison of finalized digests (unit
+/// tests of the sketch families).
+#[cfg(test)]
+pub(crate) fn digests_agree<S, I, J>(mut input: S, mut output: S, items_in: I, items_out: J) -> bool
+where
+    S: Sketch,
+    I: IntoIterator<Item = S::Item>,
+    J: IntoIterator<Item = S::Item>,
+{
+    input.update_iter(items_in);
+    output.update_iter(items_out);
+    input.finalize() == output.finalize()
 }
 
 /// Fold `items` through a fresh sketch per `chunk`-sized batch, merging

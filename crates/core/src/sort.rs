@@ -6,14 +6,11 @@
 //! boundaries. The permutation part is probabilistic (Theorem 6); parts
 //! (b) and (c) are deterministic.
 
+use std::borrow::Borrow;
+
 use ccheck_net::Comm;
 
 use crate::permutation::PermChecker;
-
-/// Is this PE's share ascending?
-fn locally_sorted(data: &[u64]) -> bool {
-    data.windows(2).all(|w| w[0] <= w[1])
-}
 
 /// Deterministic cross-PE boundary check: every PE's maximum must not
 /// exceed any later PE's minimum.
@@ -23,11 +20,12 @@ fn locally_sorted(data: &[u64]) -> bool {
 /// still independent of n) because it handles empty PEs without a chain
 /// of forwarding rounds. Every PE returns the same verdict.
 pub fn check_boundaries(comm: &mut Comm, data: &[u64]) -> bool {
-    let summary: Option<(u64, u64)> = if data.is_empty() {
-        None
-    } else {
-        Some((data[0], data[data.len() - 1]))
-    };
+    boundaries_agree(comm, data.first().copied().zip(data.last().copied()))
+}
+
+/// [`check_boundaries`] over this PE's `(first, last)` summary (`None`
+/// for an empty share).
+fn boundaries_agree(comm: &mut Comm, summary: Option<(u64, u64)>) -> bool {
     let all: Vec<Option<(u64, u64)>> = comm.allgather(summary);
     let mut prev_max: Option<u64> = None;
     for (min, max) in all.into_iter().flatten() {
@@ -42,15 +40,37 @@ pub fn check_boundaries(comm: &mut Comm, data: &[u64]) -> bool {
 }
 
 /// Distributed sort check (Theorem 7): `output` must be a globally
-/// sorted permutation of `input`. Every PE returns the same verdict.
+/// sorted permutation of `input`. Both sides are streamed once (slices,
+/// `Vec`s and lazy iterators alike); every PE returns the same verdict.
 ///
 /// One-sided error: correct results are always accepted; an unsorted or
 /// non-permutation output is accepted with probability at most the
 /// permutation checker's failure bound.
-pub fn check_sorted(comm: &mut Comm, input: &[u64], output: &[u64], perm: &PermChecker) -> bool {
-    let is_perm = perm.check(comm, input, output);
-    let local_ok = locally_sorted(output);
-    let boundaries_ok = check_boundaries(comm, output);
+pub fn check_sorted<I, O>(comm: &mut Comm, input: I, output: O, perm: &PermChecker) -> bool
+where
+    I: IntoIterator,
+    I::Item: Borrow<u64>,
+    O: IntoIterator,
+    O::Item: Borrow<u64>,
+{
+    // One pass over the output feeds the fingerprint and tracks local
+    // order and this PE's (first, last) boundary summary.
+    let mut span: Option<(u64, u64)> = None;
+    let mut local_ok = true;
+    let output = output.into_iter().map(|x| {
+        let x = *x.borrow();
+        match &mut span {
+            None => span = Some((x, x)),
+            Some((_, last)) => {
+                local_ok &= *last <= x;
+                *last = x;
+            }
+        }
+        x
+    });
+    let input = input.into_iter().map(|x| *x.borrow());
+    let is_perm = perm.check_stream(comm, input, output);
+    let boundaries_ok = boundaries_agree(comm, span);
     comm.all_agree(local_ok) && boundaries_ok && is_perm
 }
 
@@ -63,10 +83,7 @@ pub fn check_merge(
     output: &[u64],
     perm: &PermChecker,
 ) -> bool {
-    let is_perm = perm.check_concat(comm, &[s1, s2], output);
-    let local_ok = locally_sorted(output);
-    let boundaries_ok = check_boundaries(comm, output);
-    comm.all_agree(local_ok) && boundaries_ok && is_perm
+    check_sorted(comm, s1.iter().chain(s2), output, perm)
 }
 
 #[cfg(test)]

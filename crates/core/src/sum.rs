@@ -27,7 +27,7 @@ use ccheck_hashing::{Mt19937_64, PartitionedHash};
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
-use crate::sketch::Sketch;
+use crate::sketch::{agree_tables, check_stream, Collective, Sketch};
 
 /// How bucket indices are derived from the partitioned hash value.
 #[derive(Debug, Clone, Copy)]
@@ -108,11 +108,6 @@ impl SumChecker {
         self.cfg.iterations * self.cfg.buckets
     }
 
-    /// A fresh zeroed condensed table.
-    pub fn new_table(&self) -> Vec<u64> {
-        vec![0u64; self.table_len()]
-    }
-
     /// Add one already-reduced residue (`< r_i`) into a bucket with lazy
     /// overflow handling (§7.1's jump-on-overflow trick).
     #[inline]
@@ -126,9 +121,9 @@ impl SumChecker {
         };
     }
 
-    /// The shared bucket loop of every condense variant (the one place
-    /// the `cRed` inner loop lives): hash `key` once, then add a
-    /// per-iteration residue into each iteration's bucket. `residue_for`
+    /// The shared bucket loop of every sketch update (the one place the
+    /// `cRed` inner loop of Algorithm 1 lives): hash `key` once, then add
+    /// a per-iteration residue into each iteration's bucket. `residue_for`
     /// maps the iteration's modulus to the value to add — the identity
     /// for unsigned values, the positive-residue embedding for signed
     /// ones.
@@ -174,95 +169,9 @@ impl SumChecker {
     pub fn sketch(&self) -> SumSketch<'_> {
         SumSketch {
             checker: self,
-            table: self.new_table(),
+            table: vec![0u64; self.table_len()],
             idx_scratch: vec![0u64; self.cfg.iterations],
         }
-    }
-
-    /// Condense unsigned (key, value) pairs into `table` (the `cRed` of
-    /// Algorithm 1, all iterations at once). `table` must come from
-    /// [`SumChecker::new_table`] or a previous `condense` call; values
-    /// accumulate.
-    pub fn condense(&self, pairs: &[(u64, u64)], table: &mut [u64]) {
-        assert_eq!(table.len(), self.table_len());
-        let mut idx_scratch = vec![0u64; self.cfg.iterations];
-        for &(key, value) in pairs {
-            self.fold_into(table, &mut idx_scratch, key, |_| value);
-        }
-    }
-
-    /// Condense signed (key, value) pairs — used by the median checker,
-    /// where elements map to ±1 (§6.3). Negative values enter as their
-    /// positive residue `r − (−v mod r)`.
-    pub fn condense_signed(&self, pairs: &[(u64, i64)], table: &mut [u64]) {
-        assert_eq!(table.len(), self.table_len());
-        let mut idx_scratch = vec![0u64; self.cfg.iterations];
-        for &(key, value) in pairs {
-            self.fold_into(table, &mut idx_scratch, key, |r| {
-                Self::signed_residue(value, r)
-            });
-        }
-    }
-
-    /// Reduce every bucket to its canonical residue (`< r_i`). Must be
-    /// called before tables are compared or communicated.
-    pub fn finalize(&self, table: &mut [u64]) {
-        let d = self.cfg.buckets;
-        for (i, &r) in self.moduli.iter().enumerate() {
-            for slot in &mut table[i * d..(i + 1) * d] {
-                *slot %= r;
-            }
-        }
-    }
-
-    /// Element-wise combine of two finalized tables in ℤ/r_iℤ.
-    pub fn combine(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        assert_eq!(a.len(), b.len());
-        let d = self.cfg.buckets;
-        a.iter()
-            .zip(b)
-            .enumerate()
-            .map(|(idx, (&x, &y))| {
-                let r = self.moduli[(idx / d) % self.cfg.iterations];
-                addmod(x % r, y % r, r)
-            })
-            .collect()
-    }
-
-    /// Purely local check (p = 1): condense input and asserted output,
-    /// compare. Exposed for unit tests and the overhead benchmarks.
-    pub fn check_local(&self, input: &[(u64, u64)], asserted: &[(u64, u64)]) -> bool {
-        self.check_local_stream(input.iter().copied(), asserted.iter().copied())
-    }
-
-    /// Streaming form of [`SumChecker::check_local`]: consumes the input
-    /// and asserted-output streams element-at-a-time, so `n` never needs
-    /// to be materialized — memory stays O(its · d).
-    pub fn check_local_stream<I, J>(&self, input: I, asserted: J) -> bool
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-        J: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        t_in.finalize() == t_out.finalize()
-    }
-
-    /// Chunked form of [`SumChecker::check_local`]: folds each side in
-    /// `chunk`-sized batches through fresh sketches and merges them —
-    /// the digest (and verdict) is identical for every chunk size.
-    pub fn check_local_chunked(
-        &self,
-        input: &[(u64, u64)],
-        asserted: &[(u64, u64)],
-        chunk: usize,
-    ) -> bool {
-        let digest = |side: &[(u64, u64)]| {
-            crate::sketch::digest_chunked(|| self.sketch(), side.iter().copied(), chunk)
-        };
-        digest(input) == digest(asserted)
     }
 
     /// Distributed check of a sum aggregation (Algorithm 1).
@@ -288,103 +197,20 @@ impl SumChecker {
     }
 
     /// Streaming form of [`SumChecker::check_distributed`]: each PE folds
-    /// its input and asserted-output streams into constant-size sketches,
-    /// then the digests travel in the usual single tree reduction. The
-    /// communication volume is byte-identical to the slice-based path —
-    /// only the local memory drops from O(n/p) to O(its · d).
+    /// its input and asserted-output streams into constant-size sketches
+    /// ([`crate::sketch::check_stream`]), then both tables travel in one
+    /// tree reduction. Local memory is O(its · d) instead of O(n/p).
+    ///
+    /// Count aggregation (the "Count Agg." row of Table 1) is this check
+    /// with every input value mapped to 1; signed streams (median, float
+    /// sums) fold through [`SumSketch::update_signed`] and
+    /// [`Collective::agree`].
     pub fn check_distributed_stream<I, J>(&self, comm: &mut Comm, input: I, asserted: J) -> bool
     where
         I: IntoIterator<Item = (u64, u64)>,
         J: IntoIterator<Item = (u64, u64)>,
     {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        self.check_distributed_sketches(comm, t_in, t_out)
-    }
-
-    /// Distributed check over pre-folded sketches — the driver behind
-    /// every distributed sum check. Use this directly when the two
-    /// streams were folded incrementally (e.g. chunk-merged across
-    /// threads) before the collective phase.
-    ///
-    /// # Panics
-    /// Panics if either sketch belongs to a different checker instance.
-    pub fn check_distributed_sketches(
-        &self,
-        comm: &mut Comm,
-        input: SumSketch<'_>,
-        asserted: SumSketch<'_>,
-    ) -> bool {
-        assert!(
-            std::ptr::eq(input.checker, self) && std::ptr::eq(asserted.checker, self),
-            "sketches must come from this checker instance"
-        );
-        let mut both = input.finalize();
-        both.extend(asserted.finalize());
-        self.reduce_and_compare(comm, both)
-    }
-
-    /// Count-aggregation check (the "Count Agg." row of Table 1):
-    /// conceptually sum aggregation "where the value of every element is
-    /// mapped to 1" (§4). `input_keys` is this PE's share of input keys;
-    /// `asserted_counts` the asserted per-key counts.
-    pub fn check_count_distributed(
-        &self,
-        comm: &mut Comm,
-        input_keys: &[u64],
-        asserted_counts: &[(u64, u64)],
-    ) -> bool {
-        self.check_distributed_stream(
-            comm,
-            input_keys.iter().map(|&k| (k, 1)),
-            asserted_counts.iter().copied(),
-        )
-    }
-
-    /// Signed-value variant of [`SumChecker::check_distributed`] (median
-    /// checker backend). An empty `asserted` means "all sums are zero".
-    pub fn check_distributed_signed(
-        &self,
-        comm: &mut Comm,
-        input: &[(u64, i64)],
-        asserted: &[(u64, i64)],
-    ) -> bool {
-        let mut t_in = self.sketch();
-        let mut t_out = self.sketch();
-        for &pair in input {
-            t_in.update_signed(pair);
-        }
-        for &pair in asserted {
-            t_out.update_signed(pair);
-        }
-        self.check_distributed_sketches(comm, t_in, t_out)
-    }
-
-    /// Reduce concatenated (input ‖ output) tables to PE 0, compare
-    /// halves there, broadcast the verdict.
-    fn reduce_and_compare(&self, comm: &mut Comm, both: Vec<u64>) -> bool {
-        let d = self.cfg.buckets;
-        let its = self.cfg.iterations;
-        let moduli = &self.moduli;
-        let reduced = comm.reduce(0, both, |a, b| {
-            a.iter()
-                .zip(&b)
-                .enumerate()
-                .map(|(idx, (&x, &y))| {
-                    let r = moduli[(idx / d) % its];
-                    addmod(x, y, r)
-                })
-                .collect()
-        });
-        let verdict_at_root = reduced
-            .map(|t| {
-                let (t_in, t_out) = t.split_at(self.table_len());
-                t_in == t_out
-            })
-            .unwrap_or(false);
-        comm.broadcast(0, verdict_at_root)
+        check_stream(comm, self.sketch(), self.sketch(), input, asserted)
     }
 }
 
@@ -430,6 +256,19 @@ impl Sketch for SumSketch<'_> {
             .fold_into(&mut self.table, &mut self.idx_scratch, key, |_| value);
     }
 
+    /// The hot fold: the table and scratch borrows are split once, so the
+    /// loop runs over plain slices.
+    fn update_iter<I: IntoIterator<Item = (u64, u64)>>(&mut self, items: I) {
+        let (checker, table, idx_scratch) = (
+            self.checker,
+            self.table.as_mut_slice(),
+            self.idx_scratch.as_mut_slice(),
+        );
+        for (key, value) in items {
+            checker.fold_into(table, idx_scratch, key, |_| value);
+        }
+    }
+
     fn merge(&mut self, other: Self) {
         assert!(
             std::ptr::eq(self.checker, other.checker),
@@ -442,16 +281,42 @@ impl Sketch for SumSketch<'_> {
         }
     }
 
+    /// Reduce every bucket to its canonical residue (`< rᵢ`).
     fn finalize(self) -> Vec<u64> {
         let mut table = self.table;
-        self.checker.finalize(&mut table);
+        for (segment, &r) in table
+            .chunks_exact_mut(self.checker.cfg.buckets)
+            .zip(&self.checker.moduli)
+        {
+            for slot in segment {
+                *slot %= r;
+            }
+        }
         table
+    }
+}
+
+impl Collective for SumSketch<'_> {
+    /// Algorithm 1's communication: the input and output tables of all
+    /// iterations travel in **one** tree reduction (added in ℤ/rᵢℤ),
+    /// then the root's verdict is broadcast.
+    fn agree(comm: &mut Comm, input: Self, output: Self) -> bool {
+        assert!(
+            std::ptr::eq(input.checker, output.checker),
+            "sketches must come from one checker instance"
+        );
+        let checker = input.checker;
+        let d = checker.cfg.buckets;
+        agree_tables(comm, input.finalize(), output.finalize(), |slot, x, y| {
+            addmod(x, y, checker.moduli[slot / d])
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::{digest_chunked, digests_agree};
     use ccheck_hashing::HasherKind;
     use ccheck_net::run;
     use std::collections::HashMap;
@@ -474,6 +339,25 @@ mod tests {
         (0..n).map(|i| (i % 37, i * 13 + 1)).collect()
     }
 
+    /// The p = 1 check: compare the two finalized digests.
+    fn agree(checker: &SumChecker, input: &[(u64, u64)], asserted: &[(u64, u64)]) -> bool {
+        digests_agree(
+            checker.sketch(),
+            checker.sketch(),
+            input.iter().copied(),
+            asserted.iter().copied(),
+        )
+    }
+
+    /// Fold signed pairs into a fresh sketch.
+    fn signed<'a>(checker: &'a SumChecker, pairs: &[(u64, i64)]) -> SumSketch<'a> {
+        let mut sketch = checker.sketch();
+        for &pair in pairs {
+            sketch.update_signed(pair);
+        }
+        sketch
+    }
+
     #[test]
     fn accepts_correct_result_always() {
         // One-sided error: across many seeds, a correct result must
@@ -482,7 +366,7 @@ mod tests {
         let output = aggregate(&input);
         for seed in 0..50 {
             let checker = SumChecker::new(cfg(4, 8, 5), seed);
-            assert!(checker.check_local(&input, &output), "seed {seed}");
+            assert!(agree(&checker, &input, &output), "seed {seed}");
         }
     }
 
@@ -496,7 +380,7 @@ mod tests {
             let checker = SumChecker::new(cfg(4, 8, 5), seed);
             let mut bad = output.clone();
             bad[7].1 += 1;
-            if !checker.check_local(&input, &bad) {
+            if !agree(&checker, &input, &bad) {
                 rejected += 1;
             }
         }
@@ -511,7 +395,7 @@ mod tests {
         let checker = SumChecker::new(cfg(4, 8, 5), 42);
         let mut bad = output.clone();
         bad.remove(3); // "forget" a key entirely
-        assert!(!checker.check_local(&input, &bad));
+        assert!(!agree(&checker, &input, &bad));
     }
 
     #[test]
@@ -520,7 +404,7 @@ mod tests {
         let mut bad = aggregate(&input);
         bad.push((999_999, 1));
         let checker = SumChecker::new(cfg(4, 8, 5), 42);
-        assert!(!checker.check_local(&input, &bad));
+        assert!(!agree(&checker, &input, &bad));
     }
 
     #[test]
@@ -531,13 +415,13 @@ mod tests {
         let mut output = aggregate(&input);
         output.push((123_456, 0));
         let checker = SumChecker::new(cfg(4, 8, 5), 1);
-        assert!(checker.check_local(&input, &output));
+        assert!(agree(&checker, &input, &output));
     }
 
     #[test]
     fn empty_input_empty_output_accepted() {
         let checker = SumChecker::new(cfg(2, 4, 5), 9);
-        assert!(checker.check_local(&[], &[]));
+        assert!(agree(&checker, &[], &[]));
     }
 
     #[test]
@@ -558,7 +442,7 @@ mod tests {
             let (v5, v9) = (bad[5].1, bad[9].1);
             bad[5].1 = v9;
             bad[9].1 = v5;
-            if checker.check_local(&input, &bad) {
+            if agree(&checker, &input, &bad) {
                 accepted_bad += 1;
             }
         }
@@ -576,9 +460,9 @@ mod tests {
         let c = cfg(2, 4, 5);
         let checker = SumChecker::new(c, 3);
         let input: Vec<(u64, u64)> = (0..64).map(|i| (i % 4, u64::MAX - i)).collect();
-        let mut table = checker.new_table();
-        checker.condense(&input, &mut table);
-        checker.finalize(&mut table);
+        let mut sketch = checker.sketch();
+        sketch.update_iter(input.iter().copied());
+        let table = sketch.finalize();
         // Naive recomputation in u128.
         let mut expected = vec![0u128; checker.table_len()];
         let mut idx = vec![0u64; 2];
@@ -602,9 +486,7 @@ mod tests {
         let pairs: Vec<(u64, i64)> = (0..50)
             .flat_map(|k| [(k, 1i64), (k, 1), (k, -1), (k, -1)])
             .collect();
-        let mut table = checker.new_table();
-        checker.condense_signed(&pairs, &mut table);
-        checker.finalize(&mut table);
+        let table = signed(&checker, &pairs).finalize();
         assert!(table.iter().all(|&x| x == 0), "non-zero residue: {table:?}");
     }
 
@@ -612,9 +494,7 @@ mod tests {
     fn signed_detects_imbalance() {
         let checker = SumChecker::new(cfg(4, 8, 6), 11);
         let pairs: Vec<(u64, i64)> = vec![(1, 1), (1, 1), (1, -1)]; // sum = 1
-        let mut table = checker.new_table();
-        checker.condense_signed(&pairs, &mut table);
-        checker.finalize(&mut table);
+        let table = signed(&checker, &pairs).finalize();
         assert!(table.iter().any(|&x| x != 0));
     }
 
@@ -625,10 +505,10 @@ mod tests {
         let checker = SumChecker::new(c, 5);
         let input = example_input(1000);
         let output = aggregate(&input);
-        assert!(checker.check_local(&input, &output));
+        assert!(agree(&checker, &input, &output));
         let mut bad = output.clone();
         bad[0].1 ^= 0x10;
-        assert!(!checker.check_local(&input, &bad));
+        assert!(!agree(&checker, &input, &bad));
     }
 
     #[test]
@@ -689,7 +569,7 @@ mod tests {
             let neg: Vec<(u64, i64)> = pairs.iter().map(|&(k, v)| (k, -v)).collect();
             let all: Vec<(u64, i64)> = pairs.into_iter().chain(neg).collect();
             let checker = SumChecker::new(cfg(4, 8, 6), 5);
-            checker.check_distributed_signed(comm, &all, &[])
+            SumSketch::agree(comm, signed(&checker, &all), checker.sketch())
         });
         assert!(verdicts.iter().all(|&v| v));
     }
@@ -735,13 +615,14 @@ mod tests {
                 Vec::new()
             };
             let checker = SumChecker::new(cfg(4, 16, 9), 3);
-            let ok = checker.check_count_distributed(comm, &keys, &asserted);
+            let ones = || keys.iter().map(|&k| (k, 1));
+            let ok = checker.check_distributed_stream(comm, ones(), asserted.iter().copied());
             // Off-by-one count must be rejected.
             let mut bad = asserted.clone();
             if comm.rank() == 0 {
                 bad[2].1 += 1;
             }
-            let caught = !checker.check_count_distributed(comm, &keys, &bad);
+            let caught = !checker.check_distributed_stream(comm, ones(), bad.iter().copied());
             ok && caught
         });
         assert!(verdicts.iter().all(|&v| v));
@@ -772,15 +653,14 @@ mod tests {
     #[test]
     fn sketch_chunking_invariance() {
         // Any chunking of the input folds to the same finalized digest
-        // as the one-shot condense path.
+        // as the one-shot fold.
         let input = example_input(777);
         let checker = SumChecker::new(cfg(4, 37, 7), 21); // fast-range path too
-        let mut one_shot = checker.new_table();
-        checker.condense(&input, &mut one_shot);
-        checker.finalize(&mut one_shot);
+        let mut sketch = checker.sketch();
+        sketch.update_iter(input.iter().copied());
+        let one_shot = sketch.finalize();
         for chunk in [1usize, 3, 10, 100, 776, 777, 10_000] {
-            let digest =
-                crate::sketch::digest_chunked(|| checker.sketch(), input.iter().copied(), chunk);
+            let digest = digest_chunked(|| checker.sketch(), input.iter().copied(), chunk);
             assert_eq!(digest, one_shot, "chunk={chunk}");
         }
     }
@@ -806,18 +686,20 @@ mod tests {
         let input = example_input(500);
         let output = aggregate(&input);
         let checker = SumChecker::new(cfg(4, 8, 5), 7);
-        assert!(checker.check_local_stream(input.iter().copied(), output.iter().copied()));
-        assert!(checker.check_local_chunked(&input, &output, 13));
+        let chunked =
+            |side: &[(u64, u64)]| digest_chunked(|| checker.sketch(), side.iter().copied(), 13);
+        assert!(agree(&checker, &input, &output));
+        assert_eq!(chunked(&input), chunked(&output));
         let mut bad = output.clone();
         bad[1].1 += 3;
-        assert!(!checker.check_local_stream(input.iter().copied(), bad.iter().copied()));
-        assert!(!checker.check_local_chunked(&input, &bad, 13));
+        assert!(!agree(&checker, &input, &bad));
+        assert_ne!(chunked(&input), chunked(&bad));
     }
 
     #[test]
     fn streaming_distributed_volume_identical_to_slice_path() {
         use ccheck_net::router::run_with_stats;
-        // The sketch path must not move a single extra byte.
+        // The streaming path must not move a single extra byte.
         let run_variant = |streaming: bool| {
             run_with_stats(4, move |comm| {
                 let rank = comm.rank() as u64;

@@ -16,7 +16,7 @@ pub fn check_union(
     output: &[u64],
     perm: &PermChecker,
 ) -> bool {
-    perm.check_concat(comm, &[s1, s2], output)
+    perm.check_stream(comm, s1.iter().chain(s2).copied(), output.iter().copied())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 use ccheck_hashing::{HasherKind, PartitionedHash};
 use ccheck_net::Comm;
 
-use crate::sketch::Sketch;
+use crate::sketch::{agree_tables, Collective, Sketch};
 
 /// Configuration of the xor-aggregation checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,17 +98,7 @@ impl XorChecker {
         }
     }
 
-    /// Condense pairs into an `iterations × buckets` xor table.
-    pub fn condense(&self, pairs: &[(u64, u64)], table: &mut [u64]) {
-        let d = self.cfg.buckets;
-        assert_eq!(table.len(), self.cfg.iterations * d);
-        let mut idx = vec![0u64; self.cfg.iterations];
-        for &(key, value) in pairs {
-            self.fold_into(table, &mut idx, key, value);
-        }
-    }
-
-    /// The per-item bucket loop shared by `condense` and [`XorSketch`].
+    /// The per-item bucket loop of [`XorSketch`].
     #[inline]
     fn fold_into(&self, table: &mut [u64], idx_scratch: &mut [u64], key: u64, value: u64) {
         self.hash.hash_all(key, idx_scratch);
@@ -118,75 +108,6 @@ impl XorChecker {
         {
             segment[self.bucket(hv)] ^= value;
         }
-    }
-
-    /// Purely local check (p = 1).
-    pub fn check_local(&self, input: &[(u64, u64)], asserted: &[(u64, u64)]) -> bool {
-        self.check_local_stream(input.iter().copied(), asserted.iter().copied())
-    }
-
-    /// Streaming form of [`XorChecker::check_local`]: consumes both
-    /// streams element-at-a-time in O(its · d) memory.
-    pub fn check_local_stream<I, J>(&self, input: I, asserted: J) -> bool
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-        J: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        t_in.finalize() == t_out.finalize()
-    }
-
-    /// Distributed check: condensed tables of input and asserted output
-    /// travel in one xor tree reduction; verdict broadcast to all PEs.
-    pub fn check_distributed(
-        &self,
-        comm: &mut Comm,
-        input: &[(u64, u64)],
-        asserted: &[(u64, u64)],
-    ) -> bool {
-        self.check_distributed_stream(comm, input.iter().copied(), asserted.iter().copied())
-    }
-
-    /// Streaming form of [`XorChecker::check_distributed`]; communication
-    /// is byte-identical to the slice-based path.
-    pub fn check_distributed_stream<I, J>(&self, comm: &mut Comm, input: I, asserted: J) -> bool
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-        J: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        self.check_distributed_sketches(comm, t_in, t_out)
-    }
-
-    /// Distributed check over pre-folded sketches (the collective
-    /// driver: one xor tree reduction plus a verdict broadcast).
-    ///
-    /// # Panics
-    /// Panics if either sketch belongs to a different checker instance.
-    pub fn check_distributed_sketches(
-        &self,
-        comm: &mut Comm,
-        input: XorSketch<'_>,
-        asserted: XorSketch<'_>,
-    ) -> bool {
-        assert!(
-            std::ptr::eq(input.checker, self) && std::ptr::eq(asserted.checker, self),
-            "sketches must come from this checker instance"
-        );
-        let len = self.cfg.iterations * self.cfg.buckets;
-        let mut both = input.finalize();
-        both.extend(asserted.finalize());
-        let reduced = comm.reduce(0, both, |a, b| {
-            a.iter().zip(&b).map(|(x, y)| x ^ y).collect()
-        });
-        let verdict = reduced.map(|t| t[..len] == t[len..]).unwrap_or(false);
-        comm.broadcast(0, verdict)
     }
 }
 
@@ -209,6 +130,18 @@ impl Sketch for XorSketch<'_> {
             .fold_into(&mut self.table, &mut self.idx_scratch, key, value);
     }
 
+    /// The hot fold over split borrows, as for the sum sketch.
+    fn update_iter<I: IntoIterator<Item = (u64, u64)>>(&mut self, items: I) {
+        let (checker, table, idx_scratch) = (
+            self.checker,
+            self.table.as_mut_slice(),
+            self.idx_scratch.as_mut_slice(),
+        );
+        for (key, value) in items {
+            checker.fold_into(table, idx_scratch, key, value);
+        }
+    }
+
     fn merge(&mut self, other: Self) {
         assert!(
             std::ptr::eq(self.checker, other.checker),
@@ -224,9 +157,22 @@ impl Sketch for XorSketch<'_> {
     }
 }
 
+impl Collective for XorSketch<'_> {
+    /// Both xor tables travel in one tree reduction; the root compares
+    /// them and broadcasts the verdict.
+    fn agree(comm: &mut Comm, input: Self, output: Self) -> bool {
+        assert!(
+            std::ptr::eq(input.checker, output.checker),
+            "sketches must come from one checker instance"
+        );
+        agree_tables(comm, input.finalize(), output.finalize(), |_, x, y| x ^ y)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::{check_stream, digest_chunked, digests_agree};
     use ccheck_net::run;
     use std::collections::HashMap;
 
@@ -244,12 +190,22 @@ mod tests {
         XorCheckConfig::new(4, 16, HasherKind::Tab64)
     }
 
+    /// The p = 1 check: compare the two finalized digests.
+    fn agree(checker: &XorChecker, input: &[(u64, u64)], asserted: &[(u64, u64)]) -> bool {
+        digests_agree(
+            checker.sketch(),
+            checker.sketch(),
+            input.iter().copied(),
+            asserted.iter().copied(),
+        )
+    }
+
     #[test]
     fn accepts_correct_xor_aggregation() {
         let input: Vec<(u64, u64)> = (0..500u64).map(|i| (i % 31, i * 0x9E37 + 1)).collect();
         let output = xor_aggregate(&input);
         for seed in 0..20 {
-            assert!(XorChecker::new(cfg(), seed).check_local(&input, &output));
+            assert!(agree(&XorChecker::new(cfg(), seed), &input, &output));
         }
     }
 
@@ -259,7 +215,7 @@ mod tests {
         let mut bad = xor_aggregate(&input);
         bad[5].1 ^= 0x100;
         let missed = (0..100)
-            .filter(|&seed| XorChecker::new(cfg(), seed).check_local(&input, &bad))
+            .filter(|&seed| agree(&XorChecker::new(cfg(), seed), &input, &bad))
             .count();
         assert_eq!(missed, 0, "δ = 16^-4 ≈ 1.5e-5: no misses in 100 trials");
     }
@@ -269,7 +225,7 @@ mod tests {
         let input: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 7, i | 1)).collect();
         let mut bad = xor_aggregate(&input);
         bad.remove(2);
-        assert!(!XorChecker::new(cfg(), 3).check_local(&input, &bad));
+        assert!(!agree(&XorChecker::new(cfg(), 3), &input, &bad));
     }
 
     #[test]
@@ -278,7 +234,7 @@ mod tests {
         let input: Vec<(u64, u64)> = vec![(1, 5), (2, 9)];
         let mut output = xor_aggregate(&input);
         output.push((777, 0));
-        assert!(XorChecker::new(cfg(), 1).check_local(&input, &output));
+        assert!(agree(&XorChecker::new(cfg(), 1), &input, &output));
     }
 
     #[test]
@@ -301,7 +257,7 @@ mod tests {
             let (a, b) = (bad[10].1, bad[20].1);
             bad[10].1 = b;
             bad[20].1 = a;
-            if XorChecker::new(weak, seed).check_local(&input, &bad) {
+            if agree(&XorChecker::new(weak, seed), &input, &bad) {
                 accepted += 1;
             }
         }
@@ -326,7 +282,14 @@ mod tests {
                 if corrupt && comm.rank() == 1 && !shard.is_empty() {
                     shard[0].1 ^= 0x8000;
                 }
-                XorChecker::new(cfg(), 9).check_distributed(comm, &input, &shard)
+                let checker = XorChecker::new(cfg(), 9);
+                check_stream(
+                    comm,
+                    checker.sketch(),
+                    checker.sketch(),
+                    input.iter().copied(),
+                    shard.iter().copied(),
+                )
             });
             assert!(verdicts.iter().all(|&v| v != corrupt), "corrupt={corrupt}");
         }
@@ -336,11 +299,11 @@ mod tests {
     fn sketch_chunking_invariance() {
         let input: Vec<(u64, u64)> = (0..400u64).map(|i| (i % 29, i * 0x9E37 + 1)).collect();
         let checker = XorChecker::new(cfg(), 6);
-        let mut one_shot = vec![0u64; 4 * 16];
-        checker.condense(&input, &mut one_shot);
+        let mut sketch = checker.sketch();
+        sketch.update_iter(input.iter().copied());
+        let one_shot = sketch.finalize();
         for chunk in [1usize, 7, 64, 399, 400, 5000] {
-            let digest =
-                crate::sketch::digest_chunked(|| checker.sketch(), input.iter().copied(), chunk);
+            let digest = digest_chunked(|| checker.sketch(), input.iter().copied(), chunk);
             assert_eq!(digest, one_shot, "chunk={chunk}");
         }
     }
@@ -349,11 +312,27 @@ mod tests {
     fn streaming_check_matches_slice_path() {
         let input: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 19, i | 1)).collect();
         let output = xor_aggregate(&input);
-        let checker = XorChecker::new(cfg(), 2);
-        assert!(checker.check_local_stream(input.iter().copied(), output.iter().copied()));
         let mut bad = output.clone();
         bad[0].1 ^= 2;
-        assert!(!checker.check_local_stream(input.iter().copied(), bad.iter().copied()));
+        // The distributed check on a one-PE world gives the digest
+        // comparison's verdict.
+        let verdicts = run(1, |comm| {
+            let checker = XorChecker::new(cfg(), 2);
+            let mut drive = |out: &[(u64, u64)]| {
+                let local = agree(&checker, &input, out);
+                let sketch = || checker.sketch();
+                let driven = check_stream(
+                    comm,
+                    sketch(),
+                    sketch(),
+                    input.iter().copied(),
+                    out.iter().copied(),
+                );
+                (local, driven)
+            };
+            (drive(&output), drive(&bad))
+        });
+        assert_eq!(verdicts, vec![((true, true), (false, false))]);
     }
 
     #[test]
@@ -362,9 +341,9 @@ mod tests {
         let input: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 41, i | 1)).collect();
         let output = xor_aggregate(&input);
         let checker = XorChecker::new(c, 5);
-        assert!(checker.check_local(&input, &output));
+        assert!(agree(&checker, &input, &output));
         let mut bad = output.clone();
         bad[0].1 ^= 1;
-        assert!(!checker.check_local(&input, &bad));
+        assert!(!agree(&checker, &input, &bad));
     }
 }

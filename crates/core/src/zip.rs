@@ -92,23 +92,13 @@ impl ZipChecker {
 
     /// Distributed Zip check: `zipped` must pair `s1[i]` with `s2[i]`
     /// for every global index `i`, preserving both orders. The three
-    /// sequences may have three different distributions. Every PE
+    /// sequences may have three different distributions; every PE
     /// returns the same verdict.
-    pub fn check(&self, comm: &mut Comm, s1: &[u64], s2: &[u64], zipped: &[(u64, u64)]) -> bool {
-        self.check_stream(
-            comm,
-            (s1.len() as u64, s1.iter().copied()),
-            (s2.len() as u64, s2.iter().copied()),
-            (zipped.len() as u64, zipped.iter().copied()),
-        )
-    }
-
-    /// Streaming form of [`ZipChecker::check`]: each sequence arrives as
-    /// `(local_len, stream)` — the length is needed *before* the stream
-    /// is consumed because the position-sensitive hash must know this
-    /// PE's global offset (one prefix sum), which is exactly why a
-    /// slice-free API must declare it. Memory is O(iterations) per PE;
-    /// communication is byte-identical to the slice path.
+    ///
+    /// Each sequence arrives as `(local_len, stream)` — the length is
+    /// needed *before* the stream is consumed because the
+    /// position-sensitive hash must know this PE's global offset (one
+    /// prefix sum per sequence). Memory is O(iterations) per PE.
     ///
     /// # Panics
     /// Panics if a stream yields a different number of elements than
@@ -266,6 +256,22 @@ mod tests {
     use super::*;
     use ccheck_net::run;
 
+    /// The check over slices.
+    fn check(
+        checker: &ZipChecker,
+        comm: &mut Comm,
+        s1: &[u64],
+        s2: &[u64],
+        zipped: &[(u64, u64)],
+    ) -> bool {
+        checker.check_stream(
+            comm,
+            (s1.len() as u64, s1.iter().copied()),
+            (s2.len() as u64, s2.iter().copied()),
+            (zipped.len() as u64, zipped.iter().copied()),
+        )
+    }
+
     fn chunk(v: &[u64], rank: usize, p: usize) -> Vec<u64> {
         let base = v.len() / p;
         let extra = v.len() % p;
@@ -314,7 +320,8 @@ mod tests {
         for p in [1, 2, 4] {
             let verdicts = run(p, |comm| {
                 let checker = ZipChecker::new(ZipCheckConfig::default(), 11);
-                checker.check(
+                check(
+                    &checker,
                     comm,
                     &chunk(&s1, comm.rank(), p),
                     &chunk(&s2, comm.rank(), p),
@@ -336,7 +343,8 @@ mod tests {
         zipped.swap(10, 11);
         let verdicts = run(2, |comm| {
             let checker = ZipChecker::new(ZipCheckConfig::default(), 3);
-            checker.check(
+            check(
+                &checker,
                 comm,
                 &chunk(&s1, comm.rank(), 2),
                 &chunk(&s2, comm.rank(), 2),
@@ -357,7 +365,8 @@ mod tests {
         let zipped: Vec<(u64, u64)> = (0..n).map(|i| (s1[i], s2[(i + 1) % n])).collect();
         let verdicts = run(2, |comm| {
             let checker = ZipChecker::new(ZipCheckConfig::default(), 5);
-            checker.check(
+            check(
+                &checker,
                 comm,
                 &chunk(&s1, comm.rank(), 2),
                 &chunk(&s2, comm.rank(), 2),
@@ -381,7 +390,7 @@ mod tests {
                 })
                 .collect();
             let checker = ZipChecker::new(ZipCheckConfig::default(), 1);
-            checker.check(comm, &s1, &s2, &zipped)
+            check(&checker, comm, &s1, &s2, &zipped)
         });
         assert!(verdicts.iter().all(|&v| !v));
     }
@@ -430,7 +439,7 @@ mod tests {
                 let a = chunk(&s1, comm.rank(), 3);
                 let b = chunk(&s2, comm.rank(), 3);
                 let checker = ZipChecker::new(ZipCheckConfig::default(), 11);
-                let slice = checker.check(comm, &a, &b, &z);
+                let slice = check(&checker, comm, &a, &b, &z);
                 let stream = checker.check_stream(
                     comm,
                     (a.len() as u64, a.iter().copied()),
@@ -450,7 +459,7 @@ mod tests {
     fn accepts_empty_sequences() {
         let verdicts = run(3, |comm| {
             let checker = ZipChecker::new(ZipCheckConfig::default(), 9);
-            checker.check(comm, &[], &[], &[])
+            check(&checker, comm, &[], &[], &[])
         });
         assert!(verdicts.iter().all(|&v| v));
     }

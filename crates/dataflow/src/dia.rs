@@ -274,7 +274,9 @@ impl Dia<u64> {
     ) -> Result<Dia<Pair>, CheckRejected> {
         let out = zip(ctx.comm, self.local.clone(), other.local.clone());
         let checker = ZipChecker::new(cfg, ctx.next_seed());
-        if checker.check(ctx.comm, &self.local, &other.local, &out) {
+        let (a, b) = (self.local, other.local);
+        let zipped = (out.len() as u64, out.iter().copied());
+        if checker.check_stream(ctx.comm, (a.len() as u64, a), (b.len() as u64, b), zipped) {
             Ok(Dia { local: out })
         } else {
             Err(CheckRejected { operation: "zip" })

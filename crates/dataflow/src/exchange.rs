@@ -55,24 +55,6 @@ pub fn redistribute_by_key_hash_chunked<I, F>(
     comm.all_to_all_chunked(data, chunk, |pair| key_to_pe(hasher, pair.0, p), on_recv);
 }
 
-/// Convenience wrapper collecting the chunked redistribution into a
-/// `Vec` (receiver memory is then O(received), as with the slice path).
-pub fn redistribute_by_key_hash_chunked_collect<I>(
-    comm: &mut Comm,
-    data: I,
-    hasher: &Hasher,
-    chunk: usize,
-) -> Vec<Pair>
-where
-    I: IntoIterator<Item = Pair>,
-{
-    let mut received = Vec::new();
-    redistribute_by_key_hash_chunked(comm, data, hasher, chunk, |_, batch| {
-        received.extend(batch);
-    });
-    received
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,8 +125,10 @@ mod tests {
                         (0..120).map(|i| (i * 11 % 31, rank * 120 + i)).collect();
                     let hasher = test_hasher();
                     let mut slice = redistribute_by_key_hash(comm, local.clone(), &hasher);
-                    let mut chunked =
-                        redistribute_by_key_hash_chunked_collect(comm, local, &hasher, chunk);
+                    let mut chunked = Vec::new();
+                    redistribute_by_key_hash_chunked(comm, local, &hasher, chunk, |_, batch| {
+                        chunked.extend(batch)
+                    });
                     slice.sort_unstable();
                     chunked.sort_unstable();
                     (slice, chunked)

@@ -55,10 +55,7 @@ pub use checked::{
     checked_reduce_by_key, checked_reduce_with, checked_sort, checked_sort_with, CheckedOutcome,
 };
 pub use dia::{CheckRejected, Dia, PipelineCtx};
-pub use exchange::{
-    redistribute_by_key_hash, redistribute_by_key_hash_chunked,
-    redistribute_by_key_hash_chunked_collect,
-};
+pub use exchange::{redistribute_by_key_hash, redistribute_by_key_hash_chunked};
 pub use group::group_by_key;
 pub use join::{hash_join, sort_merge_join};
 pub use merge::merge_sorted;

@@ -53,8 +53,7 @@ impl Comm {
 
     /// Binomial-tree broadcast from `root`. Every PE returns the value.
     ///
-    /// Non-roots pass their (ignored) local `value`; use
-    /// [`Comm::broadcast_from`] for the common "root computes it" pattern.
+    /// Non-roots pass their (ignored) local `value`.
     pub fn broadcast<T: Wire + Clone>(&mut self, root: usize, value: T) -> T {
         assert!(root < self.size());
         let tag = self.next_coll_tag(op::BROADCAST);
@@ -82,20 +81,6 @@ impl Comm {
             mask >>= 1;
         }
         data
-    }
-
-    /// Broadcast where only the root's closure runs to produce the value.
-    pub fn broadcast_from<T, F>(&mut self, root: usize, make: F) -> T
-    where
-        T: Wire + Clone + Default,
-        F: FnOnce() -> T,
-    {
-        let value = if self.rank() == root {
-            make()
-        } else {
-            T::default()
-        };
-        self.broadcast(root, value)
     }
 
     /// Binomial-tree reduction to `root` with associative, commutative `op`.

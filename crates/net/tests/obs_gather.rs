@@ -16,7 +16,10 @@ fn world_gather(comm: &mut Comm, counter: &str, hist: &str) -> Option<ccheck_obs
     // Rank r observes 2^r: every rank lands in its own bucket, so the
     // merged histogram must show one observation in each.
     reg.histogram(hist).observe(1u64 << comm.rank());
-    comm.barrier();
+    // Synchronize with a collective that carries bytes: a barrier's
+    // messages are empty, so without it the snapshots could be taken
+    // before this process ever sent a payload byte.
+    comm.allreduce(comm.rank() as u64, u64::wrapping_add);
     let gathered = comm.gather_metrics();
     if comm.rank() == 0 {
         let (world, per_pe) = gathered.expect("rank 0 receives the world view");

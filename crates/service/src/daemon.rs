@@ -40,7 +40,7 @@
 //! [`crate::sched::PolicyCfg::Fifo`] reproduces the PR-4 loop exactly.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1379,6 +1379,9 @@ fn error_json(message: impl Into<String>) -> Json {
 
 /// One client connection: line-delimited JSON requests, one response
 /// line per request, in order.
+/// The longest request line a client may send, newline excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn serve_connection(stream: TcpStream, fe: &Arc<Frontend>) {
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
@@ -1394,10 +1397,20 @@ fn serve_connection(stream: TcpStream, fe: &Arc<Frontend>) {
     // timeout lands inside a multi-byte UTF-8 character (its validity
     // guard truncates on error); read_until keeps every byte, and UTF-8
     // is validated once per complete line.
+    // The line cap bounds the buffer: a line longer than MAX_LINE_BYTES
+    // is answered with an error and the connection closed.
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => return, // client closed
+            Ok(_) if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') => {
+                let error = error_json(format!(
+                    "bad request: line longer than {MAX_LINE_BYTES} bytes"
+                ));
+                let _ = respond(&mut writer, &error);
+                return;
+            }
             Ok(_) => {}
             Err(e)
                 if matches!(

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::{PermCheckConfig, PermChecker};
-use ccheck::sort::check_boundaries;
+use ccheck::sort::check_sorted;
 use ccheck::zip::{ZipCheckConfig, ZipChecker};
 use ccheck::SumChecker;
 use ccheck_dataflow::{
@@ -481,16 +481,9 @@ fn sort_chunked_job(
             apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
         }
     }
-    // The streaming mirror of `check_sorted`: permutation fingerprint
-    // over regenerated input + local/boundary sortedness. Same collective
-    // sequence on every PE (each sub-verdict is itself SPMD-consistent).
+    // The sort check streams the regenerated input.
     let perm = perm_checker(spec);
-    let ok = timed(&mut ph.check_us, || {
-        let is_perm = perm.check_stream(comm, input, out.iter().copied());
-        let local_ok = out.windows(2).all(|w| w[0] <= w[1]);
-        let boundaries_ok = check_boundaries(comm, &out);
-        comm.all_agree(local_ok) && boundaries_ok && is_perm
-    });
+    let ok = timed(&mut ph.check_us, || check_sorted(comm, input, &out, &perm));
     let verdict = if ok {
         Verdict::Verified
     } else {

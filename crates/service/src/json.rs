@@ -161,12 +161,19 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input such as a
+/// line of `[`s from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON value, requiring the input to be fully consumed
-/// (modulo surrounding whitespace).
+/// (modulo surrounding whitespace). Nesting deeper than [`MAX_DEPTH`]
+/// is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -180,6 +187,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -222,8 +231,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -231,6 +240,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse one array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -466,6 +489,20 @@ mod tests {
         ] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Objects count too, mixed with arrays.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2) + "1" + &"]}".repeat(MAX_DEPTH / 2);
+        assert!(parse(&mixed).is_ok());
+        assert!(parse(&format!("[{mixed}]")).is_err());
+        // The hostile client line: no stack overflow, just an error.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

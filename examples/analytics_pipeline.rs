@@ -69,7 +69,13 @@ fn main() {
         let discounted: Vec<u64> = sales.iter().map(|&(_, v)| v / 2).collect();
         let zipped = zip(comm, amounts.clone(), discounted.clone());
         let zc = ZipChecker::new(ZipCheckConfig::default(), 103);
-        report.push(("zip".into(), zc.check(comm, &amounts, &discounted, &zipped)));
+        let verified = zc.check_stream(
+            comm,
+            (amounts.len() as u64, amounts.iter().copied()),
+            (discounted.len() as u64, discounted.iter().copied()),
+            (zipped.len() as u64, zipped.iter().copied()),
+        );
+        report.push(("zip".into(), verified));
 
         // --- union + merge (§6.5.1, §6.5.2) ---------------------------
         let perm = PermChecker::new(PermCheckConfig::hash_sum(HasherKind::Tab64, 32), 104);

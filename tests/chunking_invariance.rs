@@ -1,15 +1,15 @@
 //! Chunking invariance of the sketch-backed checkers: for **any**
 //! random partition of the input into chunks, folding the chunks
 //! through fresh sketches and merging produces (a) the same digest and
-//! (b) the same accept/reject verdict as the one-shot slice-based
-//! `check_local` — and the distributed streaming path reproduces the
-//! slice path's verdict *and its exact communication volume* on both
-//! transports ([`ccheck_net::testing::run_both`] asserts local ≡ TCP
-//! byte-for-byte on every run below).
+//! (b) the same accept/reject verdict as the one-shot digest comparison
+//! — and the distributed check fed pre-merged chunk sketches
+//! reproduces the one-shot fold's verdict *and its exact communication
+//! volume* on both transports ([`ccheck_net::testing::run_both`] asserts
+//! local ≡ TCP byte-for-byte on every run below).
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::PermCheckConfig;
-use ccheck::sketch::Sketch;
+use ccheck::sketch::{check_stream, digest_chunked, Sketch};
 use ccheck::{PermChecker, SumChecker, XorCheckConfig, XorChecker, ZipCheckConfig, ZipChecker};
 use ccheck_hashing::HasherKind;
 use ccheck_net::testing::run_both_with_stats;
@@ -75,7 +75,7 @@ proptest! {
         one_shot.update_iter(pairs.iter().copied());
         prop_assert_eq!(&merged, &one_shot.finalize());
 
-        // Verdict invariance vs the slice-based check.
+        // Verdict invariance vs the one-shot digest comparison.
         let mut asserted: Vec<(u64, u64)> = {
             let mut m = std::collections::HashMap::new();
             for &(k, v) in &pairs {
@@ -88,36 +88,40 @@ proptest! {
         if corrupt {
             asserted[0].1 = asserted[0].1.wrapping_add(1);
         }
-        let slice_verdict = checker.check_local(&pairs, &asserted);
-        for &chunk in &[1usize, sizes[0], usize::MAX] {
-            prop_assert_eq!(
-                checker.check_local_chunked(&pairs, &asserted, chunk),
-                slice_verdict
-            );
+        let digest = |side: &[(u64, u64)], chunk| {
+            digest_chunked(|| checker.sketch(), side.iter().copied(), chunk)
+        };
+        let one_shot_verdict = digest(&pairs, usize::MAX) == digest(&asserted, usize::MAX);
+        for &chunk in &[1usize, sizes[0]] {
+            let chunked_verdict = digest(&pairs, chunk) == digest(&asserted, chunk);
+            prop_assert_eq!(chunked_verdict, one_shot_verdict);
         }
 
-        // Distributed: stream vs slice, both transports, same bytes.
+        // Distributed: pre-merged chunk sketches vs the one-shot fold,
+        // both transports, same bytes.
         let cfg = SumCheckConfig::new(4, 8, 5, HasherKind::Tab64);
-        let run_variant = |streaming: bool| {
+        let run_variant = |chunked: bool| {
             let pairs = pairs.clone();
             let asserted = asserted.clone();
+            let sizes = sizes.clone();
             run_both_with_stats(2, move |comm| {
                 let input = shard(&pairs, comm.rank(), 2);
                 let out = if comm.rank() == 0 { asserted.clone() } else { Vec::new() };
                 let checker = SumChecker::new(cfg, seed);
-                if streaming {
-                    checker.check_distributed_stream(
-                        comm, input.iter().copied(), out.iter().copied())
+                if chunked {
+                    let chunks = partition(&input, &sizes);
+                    let folded = fold_partition(|| checker.sketch(), &chunks);
+                    check_stream(comm, folded, checker.sketch(), [], out.iter().copied())
                 } else {
                     checker.check_distributed(comm, &input, &out)
                 }
             })
         };
-        let (slice_verdicts, slice_stats) = run_variant(false);
-        let (stream_verdicts, stream_stats) = run_variant(true);
-        prop_assert_eq!(&slice_verdicts, &stream_verdicts);
-        prop_assert!(slice_verdicts.iter().all(|&v| v == slice_verdict));
-        prop_assert_eq!(slice_stats.per_pe(), stream_stats.per_pe());
+        let (one_shot_verdicts, one_shot_stats) = run_variant(false);
+        let (chunked_verdicts, chunked_stats) = run_variant(true);
+        prop_assert_eq!(&one_shot_verdicts, &chunked_verdicts);
+        prop_assert!(one_shot_verdicts.iter().all(|&v| v == one_shot_verdict));
+        prop_assert_eq!(one_shot_stats.per_pe(), chunked_stats.per_pe());
     }
 
     /// XorChecker: same contract.
@@ -147,32 +151,37 @@ proptest! {
         if corrupt {
             asserted[0].1 ^= 0x100;
         }
-        let slice_verdict = checker.check_local(&pairs, &asserted);
-        prop_assert_eq!(
-            checker.check_local_stream(pairs.iter().copied(), asserted.iter().copied()),
-            slice_verdict
-        );
+        let digest = |side: &[(u64, u64)], chunk| {
+            digest_chunked(|| checker.sketch(), side.iter().copied(), chunk)
+        };
+        let one_shot_verdict = digest(&pairs, usize::MAX) == digest(&asserted, usize::MAX);
+        let chunked_verdict = digest(&pairs, sizes[0]) == digest(&asserted, sizes[0]);
+        prop_assert_eq!(chunked_verdict, one_shot_verdict);
 
-        let run_variant = |streaming: bool| {
+        let run_variant = |chunked: bool| {
             let pairs = pairs.clone();
             let asserted = asserted.clone();
+            let sizes = sizes.clone();
             run_both_with_stats(2, move |comm| {
                 let input = shard(&pairs, comm.rank(), 2);
                 let out = if comm.rank() == 0 { asserted.clone() } else { Vec::new() };
                 let checker = XorChecker::new(
                     XorCheckConfig::new(4, 16, HasherKind::Tab64), seed);
-                if streaming {
-                    checker.check_distributed_stream(
-                        comm, input.iter().copied(), out.iter().copied())
+                let folded = if chunked {
+                    fold_partition(|| checker.sketch(), &partition(&input, &sizes))
                 } else {
-                    checker.check_distributed(comm, &input, &out)
-                }
+                    let mut sketch = checker.sketch();
+                    sketch.update_iter(input.iter().copied());
+                    sketch
+                };
+                check_stream(comm, folded, checker.sketch(), [], out.iter().copied())
             })
         };
-        let (slice_verdicts, slice_stats) = run_variant(false);
-        let (stream_verdicts, stream_stats) = run_variant(true);
-        prop_assert_eq!(&slice_verdicts, &stream_verdicts);
-        prop_assert_eq!(slice_stats.per_pe(), stream_stats.per_pe());
+        let (one_shot_verdicts, one_shot_stats) = run_variant(false);
+        let (chunked_verdicts, chunked_stats) = run_variant(true);
+        prop_assert_eq!(&one_shot_verdicts, &chunked_verdicts);
+        prop_assert!(one_shot_verdicts.iter().all(|&v| v == one_shot_verdict));
+        prop_assert_eq!(one_shot_stats.per_pe(), chunked_stats.per_pe());
     }
 
     /// PermChecker (all three fingerprint methods): same contract.
@@ -201,36 +210,41 @@ proptest! {
             one_shot.update_iter(data.iter().copied());
             prop_assert_eq!(&merged, &one_shot.finalize());
 
-            let slice_verdict = checker.check_local(&data, &output);
-            prop_assert_eq!(
-                checker.check_local_chunked(&data, &output, sizes[0]),
-                slice_verdict
-            );
+            let digest = |side: &[u64], chunk| {
+                digest_chunked(|| checker.sketch(), side.iter().copied(), chunk)
+            };
+            let one_shot_verdict = digest(&data, usize::MAX) == digest(&output, usize::MAX);
+            let chunked_verdict = digest(&data, sizes[0]) == digest(&output, sizes[0]);
+            prop_assert_eq!(chunked_verdict, one_shot_verdict);
 
-            let run_variant = |streaming: bool| {
+            let run_variant = |chunked: bool| {
                 let data = data.clone();
                 let output = output.clone();
+                let sizes = sizes.clone();
                 run_both_with_stats(2, move |comm| {
                     let input = shard(&data, comm.rank(), 2);
                     let out = shard(&output, comm.rank(), 2);
                     let checker = PermChecker::new(cfg, seed);
-                    if streaming {
-                        checker.check_stream(
-                            comm, input.iter().copied(), out.iter().copied())
+                    if chunked {
+                        let chunks = partition(&input, &sizes);
+                        let folded = fold_partition(|| checker.sketch(), &chunks);
+                        check_stream(comm, folded, checker.sketch(), [], out.iter().copied())
                     } else {
-                        checker.check(comm, &input, &out)
+                        checker.check_stream(comm, input.iter().copied(), out.iter().copied())
                     }
                 })
             };
-            let (slice_verdicts, slice_stats) = run_variant(false);
-            let (stream_verdicts, stream_stats) = run_variant(true);
-            prop_assert_eq!(&slice_verdicts, &stream_verdicts);
-            prop_assert_eq!(slice_stats.per_pe(), stream_stats.per_pe());
+            let (one_shot_verdicts, one_shot_stats) = run_variant(false);
+            let (chunked_verdicts, chunked_stats) = run_variant(true);
+            prop_assert_eq!(&one_shot_verdicts, &chunked_verdicts);
+            prop_assert!(one_shot_verdicts.iter().all(|&v| v == one_shot_verdict));
+            prop_assert_eq!(one_shot_stats.per_pe(), chunked_stats.per_pe());
         }
     }
 
-    /// ZipChecker: adjacent-chunk folds merge to the one-shot digest,
-    /// and the streaming check reproduces the slice verdict and volume.
+    /// ZipChecker: adjacent-chunk folds merge to the one-shot digest, and
+    /// the distributed check gives the same verdict and volume whether
+    /// the sequences are split evenly, unevenly or all on one PE.
     #[test]
     fn zip_checker_chunking_invariant(
         s1 in prop::collection::vec(0u64..1_000_000, 1..150),
@@ -257,37 +271,36 @@ proptest! {
         }
         prop_assert_eq!(&acc.finalize(), &one_shot.finalize());
 
-        // Distributed: contiguous halves (zip is position-sensitive).
-        let run_variant = |streaming: bool| {
+        // Distributed: contiguous shares (zip is position-sensitive).
+        let run_variant = |skewed: bool| {
             let s1 = s1.clone();
             let s2 = s2.clone();
             let zipped = zipped.clone();
             run_both_with_stats(2, move |comm| {
-                let mid1 = s1.len() / 2;
-                let mid2 = s2.len() / 3; // deliberately different split
-                let midz = 2 * zipped.len() / 3;
+                let (mid1, mid2, midz) = if skewed {
+                    (s1.len(), s2.len(), zipped.len()) // all on PE 0
+                } else {
+                    // Deliberately different splits per sequence.
+                    (s1.len() / 2, s2.len() / 3, 2 * zipped.len() / 3)
+                };
                 let (a, b, z) = if comm.rank() == 0 {
                     (&s1[..mid1], &s2[..mid2], &zipped[..midz])
                 } else {
                     (&s1[mid1..], &s2[mid2..], &zipped[midz..])
                 };
                 let checker = ZipChecker::new(ZipCheckConfig::default(), seed);
-                if streaming {
-                    checker.check_stream(
-                        comm,
-                        (a.len() as u64, a.iter().copied()),
-                        (b.len() as u64, b.iter().copied()),
-                        (z.len() as u64, z.iter().copied()),
-                    )
-                } else {
-                    checker.check(comm, a, b, z)
-                }
+                checker.check_stream(
+                    comm,
+                    (a.len() as u64, a.iter().copied()),
+                    (b.len() as u64, b.iter().copied()),
+                    (z.len() as u64, z.iter().copied()),
+                )
             })
         };
-        let (slice_verdicts, slice_stats) = run_variant(false);
-        let (stream_verdicts, stream_stats) = run_variant(true);
-        prop_assert_eq!(&slice_verdicts, &stream_verdicts);
-        prop_assert!(slice_verdicts.iter().all(|&v| v != corrupt));
-        prop_assert_eq!(slice_stats.per_pe(), stream_stats.per_pe());
+        let (split_verdicts, split_stats) = run_variant(false);
+        let (skewed_verdicts, skewed_stats) = run_variant(true);
+        prop_assert_eq!(&split_verdicts, &skewed_verdicts);
+        prop_assert!(split_verdicts.iter().all(|&v| v != corrupt));
+        prop_assert_eq!(split_stats.per_pe(), skewed_stats.per_pe());
     }
 }

@@ -5,6 +5,7 @@
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::{PermCheckConfig, PermChecker, PermMethod};
+use ccheck::sketch::Sketch;
 use ccheck::sort::check_sorted;
 use ccheck::SumChecker;
 use ccheck_dataflow::{reduce_by_key, sort};
@@ -39,7 +40,8 @@ proptest! {
         let cfg = SumCheckConfig::new(its, 1 << d_exp, m, HasherKind::Tab64);
         let checker = SumChecker::new(cfg, seed);
         let output = aggregate(&pairs);
-        prop_assert!(checker.check_local(&pairs, &output));
+        let verdicts = run(1, |comm| checker.check_distributed(comm, &pairs, &output));
+        prop_assert!(verdicts[0]);
     }
 
     /// Any permutation of any multiset is accepted by every method.
@@ -62,7 +64,10 @@ proptest! {
             PermMethod::PolyGf64,
         ] {
             let checker = PermChecker::new(PermCheckConfig { method, iterations: 2 }, seed);
-            prop_assert!(checker.check_local(&original, &data), "{method:?}");
+            let verdicts = run(1, |comm| {
+                checker.check_stream(comm, original.iter().copied(), data.iter().copied())
+            });
+            prop_assert!(verdicts[0], "{method:?}");
         }
     }
 
@@ -75,7 +80,10 @@ proptest! {
         let shorter = &data[..data.len() - 1];
         let checker = PermChecker::new(
             PermCheckConfig::hash_sum(HasherKind::Tab64, 32), seed);
-        prop_assert!(!checker.check_local(&data, shorter));
+        let verdicts = run(1, |comm| {
+            checker.check_stream(comm, data.iter().copied(), shorter.iter().copied())
+        });
+        prop_assert!(!verdicts[0]);
     }
 
     /// The distributed reduce matches the sequential oracle, and the
@@ -136,8 +144,8 @@ proptest! {
         prop_assert!(verdicts.iter().all(|&v| v));
     }
 
-    /// Signed condense is a homomorphism: condensing a+b equals
-    /// combining condense(a) and condense(b).
+    /// The signed sketch fold is a homomorphism: folding a ++ b equals
+    /// merging the folds of a and b.
     #[test]
     fn condense_is_additive_homomorphism(
         a in prop::collection::vec((0u64..100, -1000i64..1000), 0..100),
@@ -146,18 +154,16 @@ proptest! {
     ) {
         let cfg = SumCheckConfig::new(3, 8, 6, HasherKind::Tab64);
         let checker = SumChecker::new(cfg, seed);
-        // condense(a ++ b)
-        let mut t_ab = checker.new_table();
+        let fold = |pairs: &[(u64, i64)]| {
+            let mut sketch = checker.sketch();
+            for &pair in pairs {
+                sketch.update_signed(pair);
+            }
+            sketch
+        };
         let joined: Vec<(u64, i64)> = a.iter().chain(&b).copied().collect();
-        checker.condense_signed(&joined, &mut t_ab);
-        checker.finalize(&mut t_ab);
-        // combine(condense(a), condense(b))
-        let mut t_a = checker.new_table();
-        let mut t_b = checker.new_table();
-        checker.condense_signed(&a, &mut t_a);
-        checker.condense_signed(&b, &mut t_b);
-        checker.finalize(&mut t_a);
-        checker.finalize(&mut t_b);
-        prop_assert_eq!(t_ab, checker.combine(&t_a, &t_b));
+        let mut merged = fold(&a);
+        merged.merge(fold(&b));
+        prop_assert_eq!(fold(&joined).finalize(), merged.finalize());
     }
 }

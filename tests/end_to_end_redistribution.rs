@@ -7,8 +7,24 @@ use ccheck::redistribution::{check_groupby_redistribution, check_join_redistribu
 use ccheck::zip::{ZipCheckConfig, ZipChecker};
 use ccheck_dataflow::{redistribute_by_key_hash, zip};
 use ccheck_hashing::{Hasher, HasherKind};
-use ccheck_net::run;
+use ccheck_net::{run, Comm};
 use ccheck_workloads::{local_range, uniform_ints, zipf_valued_pairs};
+
+/// The Zip checker over this PE's three slices.
+fn zip_verified(
+    checker: &ZipChecker,
+    comm: &mut Comm,
+    a: &[u64],
+    b: &[u64],
+    z: &[(u64, u64)],
+) -> bool {
+    checker.check_stream(
+        comm,
+        (a.len() as u64, a.iter().copied()),
+        (b.len() as u64, b.iter().copied()),
+        (z.len() as u64, z.iter().copied()),
+    )
+}
 
 fn perm() -> PermChecker {
     PermChecker::new(PermCheckConfig::hash_sum(HasherKind::Tab64, 32), 3)
@@ -97,14 +113,14 @@ fn real_zip_verified_and_corruption_caught() {
             let b = uniform_ints(5, 1 << 30, b_range);
             let zipped = zip(comm, a.clone(), b.clone());
             let checker = ZipChecker::new(ZipCheckConfig::default(), 6);
-            let ok = checker.check(comm, &a, &b, &zipped);
+            let ok = zip_verified(&checker, comm, &a, &b, &zipped);
 
             // Corrupt one pair's second component on one PE.
             let mut bad = zipped.clone();
             if comm.rank() == 0 && !bad.is_empty() {
                 bad[0].1 ^= 1;
             }
-            let caught = !checker.check(comm, &a, &b, &bad);
+            let caught = !zip_verified(&checker, comm, &a, &b, &bad);
             ok && caught
         });
         assert!(verdicts.iter().all(|&v| v), "p={p}");
@@ -123,7 +139,7 @@ fn zip_checker_detects_reordered_output() {
             zipped.swap(0, 1);
         }
         let checker = ZipChecker::new(ZipCheckConfig::default(), 6);
-        checker.check(comm, &a, &b, &zipped)
+        zip_verified(&checker, comm, &a, &b, &zipped)
     });
     assert!(verdicts.iter().all(|&v| !v));
 }
