@@ -30,9 +30,11 @@
 //! One entry point, [`check_stream`], folds each PE's two local streams
 //! into sketches and runs the family's step; the derived checkers
 //! (count, average, median, float sums, sort, merge, union,
-//! redistribution) call it on mapped streams. A p = 1 "local" check is
-//! [`check_stream`] on a one-PE world, or a plain comparison of the two
-//! finalized digests.
+//! redistribution) call it on mapped streams. When the operation itself
+//! streams its input, [`fold_as_read`] folds the input sketch as the
+//! operation reads each item, so the input is produced and read once.
+//! A p = 1 "local" check is [`check_stream`] on a one-PE world, or a
+//! plain comparison of the two finalized digests.
 //!
 //! ```
 //! use ccheck::sketch::Sketch;
@@ -138,6 +140,53 @@ where
     input.update_iter(items_in);
     output.update_iter(items_out);
     S::agree(comm, input, output)
+}
+
+/// Fold a stream into `sketch` while `read` consumes it: every item
+/// `read` pulls is folded the moment it passes, and whatever `read`
+/// leaves unread is folded after it returns. One pass over the items
+/// serves both the operation and its checker, and the sketch covers the
+/// whole stream however much of it the consumer reads, so an operation
+/// that stops early cannot shrink what its check sees.
+pub fn fold_as_read<S, I, R>(
+    sketch: &mut S,
+    items: I,
+    read: impl FnOnce(&mut Tap<'_, S, I::IntoIter>) -> R,
+) -> R
+where
+    S: Sketch,
+    S::Item: Clone,
+    I: IntoIterator<Item = S::Item>,
+{
+    let mut tap = Tap {
+        sketch,
+        items: items.into_iter(),
+    };
+    let out = read(&mut tap);
+    tap.sketch.update_iter(tap.items);
+    out
+}
+
+/// The iterator [`fold_as_read`] hands its consumer: yields the stream's
+/// items, folding a copy of each into the sketch on the way past.
+pub struct Tap<'a, S, I> {
+    sketch: &'a mut S,
+    items: I,
+}
+
+impl<S, I> Iterator for Tap<'_, S, I>
+where
+    S: Sketch,
+    S::Item: Clone,
+    I: Iterator<Item = S::Item>,
+{
+    type Item = S::Item;
+
+    fn next(&mut self) -> Option<S::Item> {
+        let item = self.items.next()?;
+        self.sketch.update(item.clone());
+        Some(item)
+    }
 }
 
 /// The collective step of the table families (sum, xor): concatenate the
@@ -257,6 +306,60 @@ mod tests {
     fn digest_chunked_empty_stream_is_empty_sketch_digest() {
         let empty = digest_chunked(|| Adder(0), std::iter::empty(), 4);
         assert_eq!(empty, Adder(0).finalize());
+    }
+
+    fn pairs(len: u64) -> Vec<(u64, u64)> {
+        (0..len).map(|i| (i % 13, i * 7 + 1)).collect()
+    }
+
+    fn checker() -> crate::SumChecker {
+        crate::SumChecker::new(
+            crate::SumCheckConfig::new(4, 16, 9, ccheck_hashing::HasherKind::Tab64),
+            21,
+        )
+    }
+
+    #[test]
+    fn fold_as_read_covers_the_stream_however_much_is_read() {
+        let items = pairs(100);
+        let checker = checker();
+        let mut one_shot = checker.sketch();
+        one_shot.update_iter(items.iter().copied());
+        let one_shot = one_shot.finalize();
+        for read in [0, 50, 100] {
+            let mut sketch = checker.sketch();
+            let seen: Vec<(u64, u64)> = fold_as_read(&mut sketch, items.iter().copied(), |it| {
+                it.take(read).collect()
+            });
+            assert_eq!(seen, items[..read], "the consumer sees the stream in order");
+            assert_eq!(sketch.finalize(), one_shot, "read {read} of 100");
+        }
+    }
+
+    #[test]
+    fn reduce_that_stops_reading_early_is_rejected() {
+        // Each PE sums its pairs by key while the input sketch watches;
+        // the faulty reduce reads only the first half of its input.
+        let verdicts = |faulty: bool| {
+            ccheck_net::run(2, move |comm| {
+                let checker = checker();
+                let items = pairs(200 + comm.rank() as u64);
+                let take = if faulty { items.len() / 2 } else { items.len() };
+                let mut input = checker.sketch();
+                let sums = fold_as_read(&mut input, items, |it| {
+                    let mut sums = std::collections::BTreeMap::<u64, u64>::new();
+                    for (k, v) in it.take(take) {
+                        *sums.entry(k).or_insert(0) += v;
+                    }
+                    sums
+                });
+                let mut output = checker.sketch();
+                output.update_iter(sums);
+                crate::SumSketch::agree(comm, input, output)
+            })
+        };
+        assert_eq!(verdicts(false), vec![true, true]);
+        assert_eq!(verdicts(true), vec![false, false]);
     }
 
     #[test]

@@ -88,7 +88,8 @@ where
     let reference: Vec<Vec<Pair>> = if let Some(parts) = gathered {
         let mut table: HashMap<u64, u64> = HashMap::new();
         for (k, v) in parts.into_iter().flatten() {
-            *table.entry(k).or_insert(0) = table.get(&k).copied().unwrap_or(0).wrapping_add(v);
+            let acc = table.entry(k).or_insert(0);
+            *acc = acc.wrapping_add(v);
         }
         let mut all: Vec<Pair> = table.into_iter().collect();
         all.sort_unstable();

@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::{PermCheckConfig, PermChecker};
+use ccheck::sketch::{check_stream, fold_as_read};
 use ccheck::sort::check_sorted;
 use ccheck::zip::{ZipCheckConfig, ZipChecker};
 use ccheck::SumChecker;
@@ -36,9 +37,12 @@ use crate::job::{FaultSpec, JobOp, JobSpec, Receipt, ReceiptComm, ReceiptTiming,
 /// eager input materialization (chunked modes generate lazily inside
 /// the operation, so their generate share rides in `execute`);
 /// `execute` is the data operation itself (including injected faults
-/// and any checker-driven retries); `check` is checker time. Whatever
-/// the job spent outside all three (digests, the stats gather) is the
-/// receipt overhead, reported to the metrics registry as the remainder.
+/// and any checker-driven retries); `check` is checker time. Chunked
+/// reduce folds its input sketch while the operation reads the input,
+/// so that fold counts in `execute`, and its `check` is the output fold
+/// plus the collective step. Whatever the job spent outside all three
+/// (digests, the stats gather) is the receipt overhead, reported to the
+/// metrics registry as the remainder.
 #[derive(Debug, Default, Clone, Copy)]
 struct PhaseTimes {
     generate_us: u64,
@@ -320,6 +324,9 @@ pub fn execute_job_traced(
     }
 }
 
+/// Reduce job values are uniform in `1..=REDUCE_VALUE_MAX`.
+const REDUCE_VALUE_MAX: u64 = 1 << 20;
+
 fn sum_cfg(spec: &JobSpec) -> SumCheckConfig {
     SumCheckConfig::new(
         spec.iterations as usize,
@@ -350,7 +357,7 @@ fn reduce_fault(spec: &JobSpec) -> Option<(SumManipulator, &FaultSpec)> {
 fn reduce_oneshot(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
     let data: Vec<(u64, u64)> = timed(&mut ph.generate_us, || {
-        zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range).collect()
+        zipf_valued_pairs_iter(spec.seed, spec.keys, REDUCE_VALUE_MAX, range).collect()
     });
     let hasher = partition_hasher(spec);
     let fault = reduce_fault(spec);
@@ -392,14 +399,17 @@ fn reduce_chunked(
     ph: &mut PhaseTimes,
 ) -> (Verdict, u64, u64) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    // Lazy input: generation interleaves with the chunked operation (and
-    // with the checker's replay), so it is not separable here — the
-    // execute/check phases absorb their own shares.
-    let input = zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range);
+    // Lazy input, generated once: the operation reads it for its
+    // pre-reduction table while the checker's input sketch folds each
+    // pair on the way past, so generation and the input-side fold ride
+    // in the execute phase.
+    let input = zipf_valued_pairs_iter(spec.seed, spec.keys, REDUCE_VALUE_MAX, range);
     let hasher = partition_hasher(spec);
+    let checker = SumChecker::new(sum_cfg(spec), check_seed(spec));
+    let mut input_sketch = checker.sketch();
     let mut shard = timed(&mut ph.execute_us, || {
-        reduce_by_key_chunked(comm, input.clone(), &hasher, chunk, |a, b| {
-            a.wrapping_add(b)
+        fold_as_read(&mut input_sketch, input, |pairs| {
+            reduce_by_key_chunked(comm, pairs, &hasher, chunk, |a, b| a.wrapping_add(b))
         })
     });
     if let Some((manip, f)) = reduce_fault(spec) {
@@ -407,9 +417,10 @@ fn reduce_chunked(
             apply_effective(&mut shard, f.seed, |d, s| manip.apply(d, s));
         }
     }
-    let checker = SumChecker::new(sum_cfg(spec), check_seed(spec));
+    // The input side is already folded: fold the output, then agree.
     let ok = timed(&mut ph.check_us, || {
-        checker.check_distributed_stream(comm, input, shard.iter().copied())
+        let output_sketch = checker.sketch();
+        check_stream(comm, input_sketch, output_sketch, [], shard.iter().copied())
     });
     let verdict = if ok {
         Verdict::Verified
@@ -470,8 +481,8 @@ fn sort_chunked_job(
     ph: &mut PhaseTimes,
 ) -> (Verdict, u64, u64) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    // Lazy input, as in `reduce_chunked`: generation rides inside the
-    // phases that consume the iterator.
+    // Lazy input, generated by the sort and again by its check, so
+    // generation rides inside both phases.
     let input = uniform_ints_iter(spec.seed, spec.keys.max(2), range);
     let mut out = timed(&mut ph.execute_us, || {
         sort_chunked(comm, input.clone(), chunk)
@@ -623,12 +634,20 @@ mod tests {
 
     #[test]
     fn faulty_chunked_and_zip_jobs_reject() {
-        for (op, chunk, fault) in [
-            (JobOp::Reduce, 256u64, "bitflip"),
+        let reduce_faults = [
+            "bitflip",
+            "randkey",
+            "switchvalues",
+            "inckey",
+            "incdec1",
+            "incdec2",
+        ];
+        let cases = reduce_faults.map(|fault| (JobOp::Reduce, 256u64, fault));
+        for (op, chunk, fault) in cases.into_iter().chain([
             (JobOp::Sort, 256, "dupneighbor"),
             (JobOp::Zip, 0, "swapcomponents"),
             (JobOp::Zip, 256, "swappairs"),
-        ] {
+        ]) {
             let spec = JobSpec {
                 op,
                 n: 3_000,
